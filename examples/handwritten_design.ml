@@ -134,7 +134,7 @@ let () =
   Printf.printf "hand-built datapath: %d operators (%d with test aids), valid: %b\n"
     (Dp.functional_unit_count datapath)
     (List.length datapath.Dp.operators)
-    (Dp.check datapath = []);
+    (Dp.check_diags datapath = []);
   Fsm.validate controller;
 
   let io = Memory.of_list ~name:"io" ~width [ x; y; 0; 0 ] in

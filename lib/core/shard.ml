@@ -35,7 +35,6 @@ type config = {
   worker_jobs : int;
   dir : string;
   worker_exe : string;
-  worker_argv_prefix : string list;
   watchdog_seconds : float;
   respawn_backoff_seconds : float;
   chaos : int option;
@@ -57,7 +56,6 @@ let default_config ~case ~dir ~worker_exe =
     worker_jobs = 1;
     dir;
     worker_exe;
-    worker_argv_prefix = [];
     watchdog_seconds = 10.;
     respawn_backoff_seconds = 0.25;
     chaos = None;
@@ -76,19 +74,19 @@ let journal_path cfg i =
   Filename.concat cfg.dir (Printf.sprintf "shard-%d-of-%d.jsonl" i cfg.shards)
 
 let worker_args cfg ~baseline ~shard ~chaos_exec =
-  cfg.worker_argv_prefix
-  @ [
-      "--workload"; cfg.case.Suite.case_name;
-      "--faults"; string_of_int cfg.faults;
-      "--seed"; string_of_int cfg.seed;
-      "--max-cycles-factor"; string_of_int cfg.max_cycles_factor;
-      "--jobs"; string_of_int cfg.worker_jobs;
-      "--backend"; Faultcamp.backend_label cfg.backend;
-      "--deadline"; Printf.sprintf "%g" cfg.deadline_seconds;
-      "--slice"; string_of_int cfg.slice_cycles;
-      "--retries"; string_of_int cfg.max_retries;
-      "--backoff"; Printf.sprintf "%g" cfg.backoff_seconds;
-    ]
+  [
+    "campaign";
+    "--workload"; cfg.case.Suite.case_name;
+    "--faults"; string_of_int cfg.faults;
+    "--seed"; string_of_int cfg.seed;
+    "--max-cycles-factor"; string_of_int cfg.max_cycles_factor;
+    "--jobs"; string_of_int cfg.worker_jobs;
+    "--backend"; Faultcamp.backend_label cfg.backend;
+    "--deadline"; Printf.sprintf "%g" cfg.deadline_seconds;
+    "--slice"; string_of_int cfg.slice_cycles;
+    "--retries"; string_of_int cfg.max_retries;
+    "--backoff"; Printf.sprintf "%g" cfg.backoff_seconds;
+  ]
   @ (if cfg.deadline_profile = [] then []
      else
        [

@@ -2,7 +2,8 @@
 
     One {!Faultcamp} plan, split into [shards] contiguous slices
     ({!Faultcamp.shard_slice}), each executed by a worker {e process}
-    (the CLI re-execed with [--worker]) writing its own journal shard.
+    ([fpgatest campaign] re-execed with [--worker]) writing its own
+    journal shard.
     The coordinator watches the workers — per-worker heartbeats arrive
     through the journal tail, a wall-clock watchdog declares silent
     workers dead — and respawns dead workers with exponential backoff,
@@ -40,10 +41,9 @@ type config = {
   shards : int;
   worker_jobs : int;  (** [-j] inside each worker. *)
   dir : string;  (** Shard journals live here (created if missing). *)
-  worker_exe : string;  (** The executable to re-exec as workers. *)
-  worker_argv_prefix : string list;
-      (** Arguments before the campaign flags — e.g. [["campaign"]]
-          when [worker_exe] is a multi-command CLI. *)
+  worker_exe : string;
+      (** The [fpgatest] executable, re-execed as
+          [worker_exe campaign --worker ...]. *)
   watchdog_seconds : float;
       (** A worker whose journal shard shows no activity (heartbeats
           included) for this long is declared dead and SIGKILLed. *)
@@ -70,9 +70,9 @@ val journal_path : config -> int -> string
 val worker_args : config -> baseline:Faultcamp.baseline -> shard:int ->
   chaos_exec:Chaos.disruption option -> string list
 (** The argv (after the executable) the coordinator passes to shard
-    [shard]'s worker — the CLI campaign flags plus the [--worker]
-    protocol flags. Exposed so the CLIs and the tests agree on the
-    wire format. *)
+    [shard]'s worker — [campaign], the campaign flags and the
+    [--worker] protocol flags. Exposed so the CLI and the tests agree
+    on the wire format. *)
 
 (** {1 The worker side} *)
 

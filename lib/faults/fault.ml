@@ -179,7 +179,7 @@ let fsm_sites compiled =
                 List.filter
                   (fun cand ->
                     cand <> tr.Fsm.target
-                    && Fsm.check
+                    && Fsm.check_diags
                          (retarget_fsm fsm ~state:s.Fsm.sname ~index:i
                             ~target:cand)
                        = [])

@@ -117,11 +117,12 @@ let check_diags fsm =
          "no done state is reachable from %S" fsm.initial);
   List.rev !diags
 
-let check fsm = List.map Diag.to_message (check_diags fsm)
-
 exception Invalid of string list
 
-let validate fsm = match check fsm with [] -> () | errs -> raise (Invalid errs)
+let validate fsm =
+  match check_diags fsm with
+  | [] -> ()
+  | ds -> raise (Invalid (List.map Diag.to_message ds))
 
 (* ------------------------------------------------------------------ *)
 

@@ -61,9 +61,6 @@ val check_diags : t -> Diag.t list
     the initial state when any exists (FSM011). State-reachability and
     guard analyses live in the [Lint] library. *)
 
-val check : t -> string list
-(** {!check_diags} rendered as plain messages — the legacy interface. *)
-
 exception Invalid of string list
 
 val validate : t -> unit

@@ -4,9 +4,8 @@
     value of {!t}: a stable code (e.g. [DP013], [FSM007], [RTG003],
     [XL002]) for programmatic filtering, a severity, a human location
     string ("datapath gcd8_dp / net n3"), the message itself, and an
-    optional remediation hint. The legacy [check : t -> string list]
-    entry points of the dialects render these with {!to_message}, so
-    existing callers keep working unchanged. *)
+    optional remediation hint. The dialects' [validate] entry points
+    render these with {!to_message} into their [Invalid] exceptions. *)
 
 type severity = Error | Warning | Note
 

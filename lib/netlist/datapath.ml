@@ -206,11 +206,12 @@ let check_diags dp =
     dp.operators;
   List.rev !diags
 
-let check dp = List.map Diag.to_message (check_diags dp)
-
 exception Invalid of string list
 
-let validate dp = match check dp with [] -> () | errs -> raise (Invalid errs)
+let validate dp =
+  match check_diags dp with
+  | [] -> ()
+  | ds -> raise (Invalid (List.map Diag.to_message ds))
 
 (* ------------------------------------------------------------------ *)
 (* XML                                                                 *)

@@ -89,13 +89,11 @@ val check_diags : t -> Diag.t list
     drivers). Locations are document-relative; whole-design analyses
     (combinational loops, dead units) live in the [Lint] library. *)
 
-val check : t -> string list
-(** {!check_diags} rendered as plain messages — the legacy interface. *)
-
 exception Invalid of string list
 
 val validate : t -> unit
-(** Raises {!Invalid} with the diagnostics when {!check} is non-empty. *)
+(** Raises {!Invalid} with the {!check_diags} diagnostics, rendered by
+    [Diag.to_message], when there are any. *)
 
 (** {1 XML} *)
 

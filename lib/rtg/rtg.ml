@@ -98,11 +98,12 @@ let check_diags rtg =
   end;
   List.rev !diags
 
-let check rtg = List.map Diag.to_message (check_diags rtg)
-
 exception Invalid of string list
 
-let validate rtg = match check rtg with [] -> () | errs -> raise (Invalid errs)
+let validate rtg =
+  match check_diags rtg with
+  | [] -> ()
+  | ds -> raise (Invalid (List.map Diag.to_message ds))
 
 let to_xml rtg =
   Xml.element "rtg"

@@ -53,9 +53,6 @@ val check_diags : t -> Diag.t list
     endpoints (RTG005), acyclicity (RTG006), and that every configuration
     is reachable from the initial one (RTG007). *)
 
-val check : t -> string list
-(** {!check_diags} rendered as plain messages — the legacy interface. *)
-
 exception Invalid of string list
 
 val validate : t -> unit

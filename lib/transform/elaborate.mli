@@ -30,7 +30,7 @@ val datapath :
     it may raise [Not_found]-style exceptions for unknown names.
 
     Raises {!Netlist.Datapath.Invalid} when the datapath does not pass
-    {!Netlist.Datapath.check}. *)
+    {!Netlist.Datapath.check_diags}. *)
 
 val control : t -> string -> Sim.Engine.signal
 (** Raises [Failure] on unknown names. *)

@@ -121,8 +121,8 @@ let generate ?(share = false) src =
 
 let test_hwgen_valid_documents () =
   let r = generate "program t width 8; mem m[16]; var a; a = m[0] + 1; m[1] = a;" in
-  Alcotest.(check (list string)) "datapath valid" [] (Dp.check r.Hwgen.datapath);
-  Alcotest.(check (list string)) "fsm valid" [] (Fsm.check r.Hwgen.fsm)
+  check_bool "datapath valid" true (Dp.check_diags r.Hwgen.datapath = []);
+  check_bool "fsm valid" true (Fsm.check_diags r.Hwgen.fsm = [])
 
 let test_hwgen_state_per_ir_stmt () =
   (* load + assign + store + halt = 4 states; no branches. *)
@@ -182,7 +182,8 @@ let test_sharing_reduces_fus () =
   in
   check_int "one shared adder" 1 (count_kind shared "add");
   check_int "four dedicated adders" 4 (count_kind plain "add");
-  Alcotest.(check (list string)) "shared datapath valid" [] (Dp.check shared.Hwgen.datapath)
+  check_bool "shared datapath valid" true
+    (Dp.check_diags shared.Hwgen.datapath = [])
 
 let random_program_gen =
   QCheck2.Gen.(
@@ -405,7 +406,8 @@ let prop_random_programs_compile =
       let c = Compile.compile (parse src) in
       List.for_all
         (fun (p : Compile.partition) ->
-          Dp.check p.Compile.datapath = [] && Fsm.check p.Compile.fsm = [])
+          Dp.check_diags p.Compile.datapath = []
+          && Fsm.check_diags p.Compile.fsm = [])
         c.Compile.partitions)
 
 let suite =

@@ -116,7 +116,7 @@ let sample_fsm () =
   }
 
 let test_fsm_valid () =
-  Alcotest.(check (list string)) "no diagnostics" [] (Fsm.check (sample_fsm ()))
+  check_bool "no diagnostics" true (Fsm.check_diags (sample_fsm ()) = [])
 
 let test_fsm_accessors () =
   let fsm = sample_fsm () in
@@ -140,7 +140,7 @@ let has_error fsm fragment =
       let n = String.length fragment and h = String.length e in
       let rec go i = i + n <= h && (String.sub e i n = fragment || go (i + 1)) in
       n = 0 || go 0)
-    (Fsm.check fsm)
+    (List.map Diag.to_message (Fsm.check_diags fsm))
 
 let test_fsm_bad_initial () =
   let fsm = { (sample_fsm ()) with Fsm.initial = "nope" } in

@@ -27,7 +27,7 @@ let sample () =
 
 let test_builder_produces_valid () =
   let dp = sample () in
-  Alcotest.(check (list string)) "no diagnostics" [] (Dp.check dp);
+  check_bool "no diagnostics" true (Dp.check_diags dp = []);
   check_int "operator count" 5 (List.length dp.Dp.operators);
   check_int "functional units" 5 (Dp.functional_unit_count dp)
 
@@ -76,7 +76,7 @@ let has_error dp fragment =
       let n = String.length fragment and h = String.length e in
       let rec go i = i + n <= h && (String.sub e i n = fragment || go (i + 1)) in
       n = 0 || go 0)
-    (Dp.check dp)
+    (List.map Diag.to_message (Dp.check_diags dp))
 
 let test_check_unknown_kind () =
   let dp =
@@ -143,7 +143,7 @@ let test_check_width_mismatch () =
   in
   (* Some net got width 4; whichever it is, a width error must surface. *)
   check_bool "reports width mismatch" true
-    (has_error dp "width" || Dp.check dp = [])
+    (has_error dp "width" || Dp.check_diags dp = [])
 
 let test_check_source_not_output () =
   let dp =
@@ -220,7 +220,7 @@ let prop_roundtrip =
       in
       let _last = chain first n in
       let dp = Builder.finish b in
-      Dp.check dp = []
+      Dp.check_diags dp = []
       && dp
          = Dp.of_xml
              (Xmlkit.Xml_parser.parse_string (Xmlkit.Xml.to_string (Dp.to_xml dp))))

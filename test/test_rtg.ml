@@ -17,13 +17,13 @@ let two_config () =
 
 let test_singleton () =
   let rtg = Rtg.singleton ~name:"solo" ~datapath_ref:"dp" ~fsm_ref:"fsm" in
-  Alcotest.(check (list string)) "valid" [] (Rtg.check rtg);
+  check_bool "valid" true (Rtg.check_diags rtg = []);
   Alcotest.(check (list string)) "order" [ "solo" ] (Rtg.execution_order rtg);
   check_int "one configuration" 1 (Rtg.configuration_count rtg)
 
 let test_two_config_order () =
   let rtg = two_config () in
-  Alcotest.(check (list string)) "valid" [] (Rtg.check rtg);
+  check_bool "valid" true (Rtg.check_diags rtg = []);
   Alcotest.(check (list string)) "order" [ "p1"; "p2" ] (Rtg.execution_order rtg);
   check_bool "successor" true (Rtg.successor rtg "p1" = Some "p2");
   check_bool "final has none" true (Rtg.successor rtg "p2" = None)
@@ -34,7 +34,7 @@ let has_error rtg fragment =
       let n = String.length fragment and h = String.length e in
       let rec go i = i + n <= h && (String.sub e i n = fragment || go (i + 1)) in
       n = 0 || go 0)
-    (Rtg.check rtg)
+    (List.map Diag.to_message (Rtg.check_diags rtg))
 
 let test_bad_initial () =
   let rtg = { (two_config ()) with Rtg.initial = "zz" } in
@@ -111,7 +111,7 @@ let prop_chain_order =
              pairs names);
         }
       in
-      Rtg.check rtg = [] && Rtg.execution_order rtg = names)
+      Rtg.check_diags rtg = [] && Rtg.execution_order rtg = names)
 
 let suite =
   [

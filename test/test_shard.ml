@@ -25,8 +25,8 @@ let vecadd_case () =
 
 (* The worker binary, relative to the test runner's cwd
    (_build/default/test); the dune test stanza depends on it. *)
-let faultcamp_exe () =
-  let path = Filename.concat (Sys.getcwd ()) "../bin/faultcamp.exe" in
+let fpgatest_exe () =
+  let path = Filename.concat (Sys.getcwd ()) "../bin/fpgatest.exe" in
   if not (Sys.file_exists path) then
     Alcotest.fail ("worker binary not built: " ^ path);
   path
@@ -159,6 +159,8 @@ let test_worker_args_wire_format () =
         Shard.worker_args cfg ~baseline ~shard:1
           ~chaos_exec:(Some (Chaos.Kill_after 2))
       in
+      check_string "workers run the campaign subcommand" "campaign"
+        (List.hd args);
       let has flag = List.mem flag args in
       List.iter
         (fun flag -> check_bool flag true (has flag))
@@ -174,11 +176,59 @@ let test_worker_args_wire_format () =
       check_bool "no --chaos-exec when undisturbed" true
         (not (List.mem "--chaos-exec" no_chaos)))
 
+(* --- CLI flag rejection ---------------------------------------------------- *)
+
+(* Every campaign misuse dies up front with exactly one "error:" line on
+   stderr and exit 1, before any campaign or worker runs. *)
+let test_cli_rejects_misuse () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let err_path = Filename.concat dir "stderr" in
+      List.iter
+        (fun args ->
+          let name = String.concat " " args in
+          let err =
+            Unix.openfile err_path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644
+          in
+          let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let exe = fpgatest_exe () in
+          let argv =
+            Array.of_list (exe :: "campaign" :: "--workload" :: "gcd8" :: args)
+          in
+          let pid = Unix.create_process exe argv Unix.stdin null err in
+          Unix.close err;
+          Unix.close null;
+          let _, status = Unix.waitpid [] pid in
+          check_bool (name ^ ": exit 1") true (status = Unix.WEXITED 1);
+          let lines =
+            In_channel.with_open_text err_path In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          match lines with
+          | [ line ] ->
+              check_bool (name ^ ": one error line") true
+                (String.starts_with ~prefix:"error: " line)
+          | _ ->
+              Alcotest.failf "%s: expected one stderr line, got %d" name
+                (List.length lines))
+        [
+          [ "--chaos-exec"; "stall" ];
+          [ "--resume"; "journal.jsonl"; "--shards"; "2" ];
+          [ "--stop-after"; "0" ];
+          [ "--jobs"; "0" ];
+          [ "--faults=-3" ];
+          [ "--chaos"; "2" ];
+          [ "--shards"; "0" ];
+          [ "--deadline-profile"; "nosuch=1" ];
+          [ "--worker" ];
+        ])
+
 (* --- end-to-end coordinator runs ----------------------------------------- *)
 
 let coordinator_config ?chaos ~dir ~shards case =
   {
-    (Shard.default_config ~case ~dir ~worker_exe:(faultcamp_exe ())) with
+    (Shard.default_config ~case ~dir ~worker_exe:(fpgatest_exe ())) with
     Shard.seed = 5;
     faults = 12;
     shards;
@@ -290,6 +340,8 @@ let suite =
     Alcotest.test_case "pinned chaos seed 2" `Quick test_pinned_chaos_seed_2;
     Alcotest.test_case "worker args wire format" `Quick
       test_worker_args_wire_format;
+    Alcotest.test_case "campaign CLI rejects misuse" `Quick
+      test_cli_rejects_misuse;
     Alcotest.test_case "sharded report byte-identical" `Slow
       test_sharded_report_byte_identical;
     Alcotest.test_case "chaos recovery byte-identical" `Slow
