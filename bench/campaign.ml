@@ -94,7 +94,7 @@ let json_of_run (c : Faultcamp.t) =
         "total_mutant_cycles": %d,
         "retries": %d, "quarantined": %d, "wall_timeouts": %d,
         "cancelled": %d }|}
-    (Faultcamp.backend_label c.Faultcamp.backend)
+    (Faultcamp.backend_label c.Faultcamp.config.Faultcamp.backend)
     (Faultcamp.backend_label c.Faultcamp.backend_used)
     c.Faultcamp.jobs
     (c.Faultcamp.jobs > host_cores)
@@ -139,9 +139,10 @@ let bench_workload name =
               "error: %s report at backend=%s jobs=%d differs from \
                backend=%s jobs=%d — campaign execution is not deterministic\n"
               name
-              (Faultcamp.backend_label c.Faultcamp.backend)
+              (Faultcamp.backend_label c.Faultcamp.config.Faultcamp.backend)
               c.Faultcamp.jobs
-              (Faultcamp.backend_label ref_c.Faultcamp.backend)
+              (Faultcamp.backend_label
+                 ref_c.Faultcamp.config.Faultcamp.backend)
               ref_c.Faultcamp.jobs;
             exit 1
           end)
@@ -157,7 +158,9 @@ let bench_workload name =
         let base =
           List.find_opt
             (fun (b, _) ->
-              b.Faultcamp.backend = c.Faultcamp.backend && b.Faultcamp.jobs = 1)
+              b.Faultcamp.config.Faultcamp.backend
+              = c.Faultcamp.config.Faultcamp.backend
+              && b.Faultcamp.jobs = 1)
             runs
         in
         match base with
@@ -165,7 +168,7 @@ let bench_workload name =
             Some
               (Printf.sprintf
                  {|      { "backend": "%s", "jobs": %d, "speedup_vs_jobs1": %.3f }|}
-                 (Faultcamp.backend_label c.Faultcamp.backend)
+                 (Faultcamp.backend_label c.Faultcamp.config.Faultcamp.backend)
                  c.Faultcamp.jobs
                  (b.Faultcamp.wall_seconds /. c.Faultcamp.wall_seconds))
         | _ -> None)
@@ -177,7 +180,7 @@ let bench_workload name =
   let at backend =
     List.find_opt
       (fun (c, _) ->
-        c.Faultcamp.backend = backend && c.Faultcamp.jobs = 1)
+        c.Faultcamp.config.Faultcamp.backend = backend && c.Faultcamp.jobs = 1)
       runs
   in
   let headline =
@@ -211,7 +214,7 @@ let bench_workload name =
       Printf.printf "%s backend=%s jobs=%d: %.3fs, %.1f mutants/s, \
                      kill rate %.1f%%%s\n"
         name
-        (Faultcamp.backend_label c.Faultcamp.backend)
+        (Faultcamp.backend_label c.Faultcamp.config.Faultcamp.backend)
         c.Faultcamp.jobs c.Faultcamp.wall_seconds c.Faultcamp.mutants_per_second
         (100. *. c.Faultcamp.kill_rate)
         (if c.Faultcamp.jobs > host_cores then " (oversubscribed)" else ""))
@@ -273,13 +276,14 @@ let bench_shards () =
         Printf.sprintf "%s-%d%s" dir_root shards
           (if chaos = None then "" else "-chaos")
       in
+      let base =
+        Testinfra.Shard.default_config ~case ~dir:sub ~worker_exe:!fpgatest_exe
+      in
       let cfg =
         {
-          (Testinfra.Shard.default_config ~case ~dir:sub
-             ~worker_exe:!fpgatest_exe)
-          with
-          seed = !seed;
-          faults = shard_faults;
+          base with
+          campaign =
+            { base.campaign with seed = !seed; faults = shard_faults };
           shards;
           chaos;
           watchdog_seconds = 5.;
@@ -471,8 +475,9 @@ let () =
       !seed base_faults faults_floor
       (!faults_arg = None)
       (faults ()) host_cores
-      Faultcamp.default_deadline_seconds Faultcamp.default_slice_cycles
-      Faultcamp.default_max_retries fuzz_section shard_section tv_section
+      Faultcamp.default_config.deadline_seconds
+      Faultcamp.default_config.slice_cycles
+      Faultcamp.default_config.max_retries fuzz_section shard_section tv_section
       (String.concat ",\n" per_workload)
   in
   let oc = open_out !out_path in

@@ -1031,32 +1031,22 @@ let die fmt =
       exit 1)
     fmt
 
-(* Flag validation up front: a bad value must die with one readable line
-   and a nonzero exit, never an [Invalid_argument] backtrace out of
-   [Pool.create] half-way into the campaign. *)
-let validate_campaign_flags ~faults ~factor ~jobs ~deadline ~slice ~retries
-    ~backoff ~stop_after ~shards ~chaos ~watchdog ~respawn_backoff ~worker
+(* Flag validation up front: a bad combination must die with one
+   readable line and a nonzero exit, never an [Invalid_argument]
+   backtrace out of [Pool.create] half-way into the campaign. Parameter
+   ranges are checked once, by [Faultcamp.campaign] and [Shard.run],
+   before either does any work. *)
+let validate_campaign_flags ~jobs ~stop_after ~shards ~chaos ~worker
     ~shard_index ~shard_count ~chaos_exec ~resume =
   if jobs < 1 then die "--jobs must be >= 1 (got %d)" jobs;
-  if faults < 0 then die "--faults must be >= 0 (got %d)" faults;
-  if factor < 1 then die "--max-cycles-factor must be >= 1 (got %d)" factor;
-  if deadline < 0. then die "--deadline must be >= 0 (got %g)" deadline;
-  if slice < 1 then die "--slice must be >= 1 (got %d)" slice;
-  if retries < 0 then die "--retries must be >= 0 (got %d)" retries;
-  if backoff < 0. then die "--backoff must be >= 0 (got %g)" backoff;
-  if watchdog <= 0. then die "--watchdog must be > 0 (got %g)" watchdog;
-  if respawn_backoff < 0. then
-    die "--respawn-backoff must be >= 0 (got %g)" respawn_backoff;
-  (match (stop_after, shards, chaos) with
-  | Some k, _, _ when k < 1 -> die "--stop-after must be >= 1 (got %d)" k
-  | _, Some n, _ when n < 1 -> die "--shards must be >= 1 (got %d)" n
-  | _, None, Some _ ->
+  (match (shards, chaos) with
+  | None, Some _ ->
       die "--chaos requires --shards (the chaos schedule disrupts the \
            coordinator's workers)"
-  | _, Some _, _ when resume <> None ->
+  | Some _, _ when resume <> None ->
       die "--resume cannot be combined with --shards (worker shards resume \
            their own journals automatically)"
-  | _, Some _, _ when stop_after <> None ->
+  | Some _, _ when stop_after <> None ->
       die "--stop-after cannot be combined with --shards"
   | _ -> ());
   if worker && shard_count = None then
@@ -1071,8 +1061,8 @@ let find_case workload =
   | None -> die "unknown workload %S (try --list for the catalogue)" workload
   | Some case -> case
 
-let run_worker workload faults seed factor jobs backend deadline slice retries
-    backoff profile journal shard_index shard_count chaos_exec baseline =
+let run_worker config ~workload ~jobs ~journal ~shard_index ~shard_count
+    ~chaos_exec =
   let journal_path =
     match journal with
     | Some p -> p
@@ -1086,38 +1076,21 @@ let run_worker workload faults seed factor jobs backend deadline slice retries
         | None -> die "unknown --chaos-exec disruption %S" label)
       chaos_exec
   in
-  let baseline =
-    Option.map
-      (fun s ->
-        match Testinfra.Faultcamp.baseline_of_string s with
-        | Some b -> b
-        | None -> die "malformed --baseline %S (expected cycles:oob:hash)" s)
-      baseline
-  in
   exit
-    (Testinfra.Shard.worker ~workload ~seed ~faults ~max_cycles_factor:factor
-       ~jobs ~backend ~deadline_seconds:deadline ~slice_cycles:slice
-       ~max_retries:retries ~backoff_seconds:backoff ~deadline_profile:profile
-       ~shard_index ~shard_count ~journal_path ~baseline ~chaos_exec ())
+    (Testinfra.Shard.worker ~workload ~jobs ~journal_path ~chaos_exec
+       {
+         config with
+         Testinfra.Faultcamp.shard = Some (shard_index, shard_count);
+       })
 
-let run_sharded workload faults seed factor jobs backend deadline slice
-    retries backoff profile shards chaos watchdog respawn_backoff shard_dir
-    verbose =
-  let case = find_case workload in
+let run_sharded config ~workload ~jobs ~shards ~chaos ~watchdog
+    ~respawn_backoff ~shard_dir ~verbose =
   let cancel = Testinfra.Budget.token () in
   Testinfra.Budget.install_sigint cancel;
   let cfg =
     {
-      Testinfra.Shard.case;
-      seed;
-      faults;
-      max_cycles_factor = factor;
-      backend;
-      deadline_seconds = deadline;
-      slice_cycles = slice;
-      max_retries = retries;
-      backoff_seconds = backoff;
-      deadline_profile = profile;
+      Testinfra.Shard.campaign = config;
+      case = find_case workload;
       shards;
       worker_jobs = jobs;
       dir = shard_dir;
@@ -1159,19 +1132,15 @@ let run_sharded workload faults seed factor jobs backend deadline slice
 
 (* The plain and --resume personalities; returns whether the campaign
    was interrupted. *)
-let run_single workload faults seed factor jobs backend deadline slice
-    retries backoff profile journal resume stop_after verbose =
+let run_single config ~workload ~jobs ~journal ~resume ~stop_after ~verbose =
   let cancel = Testinfra.Budget.token () in
   Testinfra.Budget.install_sigint cancel;
   let campaign =
     match resume with
     | Some path -> Testinfra.Faultcamp.resume ~jobs ~cancel ?stop_after path
     | None ->
-        Testinfra.Faultcamp.run ~seed ~faults ~max_cycles_factor:factor ~jobs
-          ~backend ~deadline_seconds:deadline ~slice_cycles:slice
-          ~max_retries:retries ~backoff_seconds:backoff
-          ~deadline_profile:profile ~cancel ?journal_path:journal ?stop_after
-          (find_case workload)
+        Testinfra.Faultcamp.campaign ~jobs ~cancel ?journal_path:journal
+          ?stop_after config (find_case workload)
   in
   (* The report on stdout is deterministic (identical at any -j, at any
      shard count, and identical whether the campaign ran straight
@@ -1182,33 +1151,26 @@ let run_single workload faults seed factor jobs backend deadline slice
   Printf.eprintf "%s\n" (Testinfra.Metrics.campaign_timing campaign);
   campaign.Testinfra.Faultcamp.interrupted
 
-let cmd_campaign =
-  let workload_arg =
-    Arg.(value & opt string "gcd8"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to mutate (see --list).")
-  in
+(* The ten campaign parameters, parsed into the one config record the
+   plain, sharded and worker personalities all run. Range checks are
+   [Faultcamp.validate]'s; only the two string spellings are parsed
+   here. *)
+let campaign_config_term =
+  let defaults = Testinfra.Faultcamp.default_config in
   let faults_arg =
-    Arg.(value & opt int 25
+    Arg.(value & opt int defaults.faults
          & info [ "n"; "faults" ] ~docv:"N" ~doc:"Number of faults to plan.")
   in
   let seed_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt int defaults.seed
          & info [ "seed" ] ~docv:"SEED"
              ~doc:"Campaign seed; the same seed reproduces the identical \
                    plan and outcomes.")
   in
   let factor_arg =
-    Arg.(value & opt int 4
+    Arg.(value & opt int defaults.max_cycles_factor
          & info [ "max-cycles-factor" ] ~docv:"K"
              ~doc:"Mutant cycle budget as a multiple of the clean run.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"JOBS"
-             ~doc:"Worker domains executing mutants in parallel (per worker \
-                   process under --shards). The report is identical at any \
-                   value; only wall-clock changes.")
   in
   let backend_arg =
     let backend_conv =
@@ -1232,7 +1194,7 @@ let cmd_campaign =
                    campaigns take the backend from the journal header.")
   in
   let deadline_arg =
-    Arg.(value & opt float Testinfra.Faultcamp.default_deadline_seconds
+    Arg.(value & opt float defaults.deadline_seconds
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:"Wall-clock watchdog per mutant attempt; a hung mutant is \
                    classified as a wall timeout instead of simulating out \
@@ -1248,21 +1210,76 @@ let cmd_campaign =
                    header and restored on --resume.")
   in
   let slice_arg =
-    Arg.(value & opt int Testinfra.Faultcamp.default_slice_cycles
+    Arg.(value & opt int defaults.slice_cycles
          & info [ "slice" ] ~docv:"CYCLES"
              ~doc:"Watchdog granularity: clock cycles simulated between \
                    deadline/cancellation checks.")
   in
   let retries_arg =
-    Arg.(value & opt int Testinfra.Faultcamp.default_max_retries
+    Arg.(value & opt int defaults.max_retries
          & info [ "retries" ] ~docv:"N"
              ~doc:"Crash retries per mutant (exponential backoff). A mutant \
                    crashing identically twice is quarantined immediately.")
   in
   let backoff_arg =
-    Arg.(value & opt float Testinfra.Faultcamp.default_backoff_seconds
+    Arg.(value & opt float defaults.backoff_seconds
          & info [ "backoff" ] ~docv:"SECONDS"
              ~doc:"Initial retry backoff; doubles per retry.")
+  in
+  let baseline_arg =
+    Arg.(value & opt (some string) None
+         & info [ "baseline" ] ~docv:"CYCLES:OOB:HASH"
+             ~doc:"Worker protocol: clean-run baseline checkpoint; a worker \
+                   holding a matching baseline skips re-simulating the \
+                   clean design, a mismatch is rejected with one line.")
+  in
+  let make faults seed max_cycles_factor backend deadline_seconds profile
+      slice_cycles max_retries backoff_seconds baseline =
+    let deadline_profile =
+      try
+        Testinfra.Budget.parse_deadline_profile
+          ~valid_classes:Faults.Fault.all_classes profile
+      with Invalid_argument msg -> die "%s" msg
+    in
+    let baseline =
+      Option.map
+        (fun s ->
+          match Testinfra.Faultcamp.baseline_of_string s with
+          | Some b -> b
+          | None -> die "malformed --baseline %S (expected cycles:oob:hash)" s)
+        baseline
+    in
+    {
+      Testinfra.Faultcamp.seed;
+      faults;
+      max_cycles_factor;
+      backend;
+      deadline_seconds;
+      slice_cycles;
+      max_retries;
+      backoff_seconds;
+      deadline_profile;
+      baseline;
+      shard = None;
+    }
+  in
+  Term.(
+    const make $ faults_arg $ seed_arg $ factor_arg $ backend_arg
+    $ deadline_arg $ profile_arg $ slice_arg $ retries_arg $ backoff_arg
+    $ baseline_arg)
+
+let cmd_campaign =
+  let workload_arg =
+    Arg.(value & opt string "gcd8"
+         & info [ "w"; "workload" ] ~docv:"NAME"
+             ~doc:"Workload to mutate (see --list).")
+  in
+  let jobs_arg =
+    Arg.(value & opt int 1
+         & info [ "j"; "jobs" ] ~docv:"JOBS"
+             ~doc:"Worker domains executing mutants in parallel (per worker \
+                   process under --shards). The report is identical at any \
+                   value; only wall-clock changes.")
   in
   let journal_arg =
     Arg.(value & opt (some string) None
@@ -1352,13 +1369,6 @@ let cmd_campaign =
                    ($(b,kill:N) or $(b,stall)) from the coordinator's chaos \
                    schedule.")
   in
-  let baseline_arg =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"CYCLES:OOB:HASH"
-             ~doc:"Worker protocol: clean-run baseline checkpoint; a worker \
-                   holding a matching baseline skips re-simulating the \
-                   clean design, a mismatch is rejected with one line.")
-  in
   let compact_arg =
     Arg.(value & opt (some string) None
          & info [ "compact" ] ~docv:"FILE"
@@ -1374,10 +1384,9 @@ let cmd_campaign =
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List known workloads and exit.")
   in
-  let run workload faults seed factor jobs backend deadline slice retries
-      backoff profile journal resume stop_after shards chaos watchdog
+  let run config workload jobs journal resume stop_after shards chaos watchdog
       respawn_backoff shard_dir worker shard_index shard_count chaos_exec
-      baseline compact verbose list =
+      compact verbose list =
     handle_errors (fun () ->
         if list then
           List.iter
@@ -1391,32 +1400,21 @@ let cmd_campaign =
               Printf.printf "compacted %s: %d line(s) -> %d\n" path before
                 after
           | None -> (
-              validate_campaign_flags ~faults ~factor ~jobs ~deadline ~slice
-                ~retries ~backoff ~stop_after ~shards ~chaos ~watchdog
-                ~respawn_backoff ~worker ~shard_index ~shard_count
-                ~chaos_exec ~resume;
-              let profile =
-                try
-                  Testinfra.Budget.parse_deadline_profile
-                    ~valid_classes:Faults.Fault.all_classes profile
-                with Invalid_argument msg -> die "%s" msg
-              in
+              validate_campaign_flags ~jobs ~stop_after ~shards ~chaos ~worker
+                ~shard_index ~shard_count ~chaos_exec ~resume;
               if worker then
-                run_worker workload faults seed factor jobs backend deadline
-                  slice retries backoff profile journal
-                  (Option.get shard_index) (Option.get shard_count)
-                  chaos_exec baseline
+                run_worker config ~workload ~jobs ~journal
+                  ~shard_index:(Option.get shard_index)
+                  ~shard_count:(Option.get shard_count) ~chaos_exec
               else
                 match shards with
                 | Some shards ->
-                    run_sharded workload faults seed factor jobs backend
-                      deadline slice retries backoff profile shards chaos
-                      watchdog respawn_backoff shard_dir verbose
+                    run_sharded config ~workload ~jobs ~shards ~chaos
+                      ~watchdog ~respawn_backoff ~shard_dir ~verbose
                 | None ->
                     let interrupted =
-                      run_single workload faults seed factor jobs backend
-                        deadline slice retries backoff profile journal resume
-                        stop_after verbose
+                      run_single config ~workload ~jobs ~journal ~resume
+                        ~stop_after ~verbose
                     in
                     (* A campaign cut short by Ctrl-C exits 130 (the shell
                        convention for SIGINT); --stop-after is a
@@ -1430,12 +1428,11 @@ let cmd_campaign =
              report the verifier's kill rate per fault class — in one \
              process, or sharded across self-healing worker processes.")
     Term.(
-      const run $ workload_arg $ faults_arg $ seed_arg $ factor_arg
-      $ jobs_arg $ backend_arg $ deadline_arg $ slice_arg $ retries_arg
-      $ backoff_arg $ profile_arg $ journal_arg $ resume_arg $ stop_after_arg
-      $ shards_arg $ chaos_arg $ watchdog_arg $ respawn_backoff_arg
-      $ shard_dir_arg $ worker_flag $ shard_index_arg $ shard_count_arg
-      $ chaos_exec_arg $ baseline_arg $ compact_arg $ verbose_arg $ list_arg)
+      const run $ campaign_config_term $ workload_arg $ jobs_arg $ journal_arg
+      $ resume_arg $ stop_after_arg $ shards_arg $ chaos_arg $ watchdog_arg
+      $ respawn_backoff_arg $ shard_dir_arg $ worker_flag $ shard_index_arg
+      $ shard_count_arg $ chaos_exec_arg $ compact_arg $ verbose_arg
+      $ list_arg)
 
 (* --- fig1 ---------------------------------------------------------------- *)
 

@@ -109,6 +109,14 @@ let parse_deadline_profile ~valid_classes s =
         profile;
       profile
 
+(* "%g" when it round-trips (every value anyone types), "%.17g" when it
+   would lose bits: a rendered config must parse back to itself. *)
+let seconds_to_string sec =
+  let short = Printf.sprintf "%g" sec in
+  if float_of_string short = sec then short else Printf.sprintf "%.17g" sec
+
 let render_deadline_profile profile =
   String.concat ","
-    (List.map (fun (cls, sec) -> Printf.sprintf "%s=%g" cls sec) profile)
+    (List.map
+       (fun (cls, sec) -> Printf.sprintf "%s=%s" cls (seconds_to_string sec))
+       profile)

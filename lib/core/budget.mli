@@ -92,5 +92,10 @@ val parse_deadline_profile :
     watchdog for that class). The empty string is the empty profile.
     Raises [Invalid_argument] with a one-line message otherwise. *)
 
+val seconds_to_string : float -> string
+(** ["%g"] formatting when it parses back to the same float, ["%.17g"]
+    otherwise: short for every value a user types, lossless always. *)
+
 val render_deadline_profile : (string * float) list -> string
-(** Inverse of {!parse_deadline_profile} (["%g"] seconds formatting). *)
+(** Inverse of {!parse_deadline_profile} (seconds via
+    {!seconds_to_string}). *)

@@ -45,21 +45,33 @@ type class_stats = {
   retried : int;
 }
 
+(* A verified clean run reduced to what a resumed or sharded worker
+   needs; see [baseline_hash]. *)
+type baseline = { b_clean_cycles : int; b_clean_oob : int; b_hash : string }
+
+type config = {
+  seed : int;
+  faults : int;
+  max_cycles_factor : int;
+  backend : backend;
+  deadline_seconds : float;
+  slice_cycles : int;
+  max_retries : int;
+  backoff_seconds : float;
+  deadline_profile : (string * float) list;
+  baseline : baseline option;
+  shard : (int * int) option;
+}
+
 type t = {
   workload : string;
-  seed : int;
-  requested : int;
+  config : config;
   jobs : int;
-  backend : backend;
   backend_used : backend;
   clean_passed : bool;
   clean_cycles : int;
   clean_oob : int;
   cycle_budget : int;
-  deadline_seconds : float;
-  slice_cycles : int;
-  max_retries : int;
-  backoff_seconds : float;
   mutants : mutant list;
   by_class : class_stats list;
   kill_rate : float;
@@ -70,10 +82,46 @@ type t = {
   mutants_per_second : float;
 }
 
-let default_deadline_seconds = 60.
 let default_slice_cycles = 5_000
-let default_max_retries = 2
-let default_backoff_seconds = 0.05
+
+let default_config =
+  {
+    seed = 1;
+    faults = 25;
+    max_cycles_factor = 4;
+    backend = Interp;
+    deadline_seconds = 60.;
+    slice_cycles = default_slice_cycles;
+    max_retries = 2;
+    backoff_seconds = 0.05;
+    deadline_profile = [];
+    baseline = None;
+    shard = None;
+  }
+
+let validate c =
+  let bad fmt = Printf.ksprintf invalid_arg ("Faultcamp: " ^^ fmt) in
+  if c.faults < 0 then bad "faults must be >= 0 (got %d)" c.faults;
+  if c.max_cycles_factor < 1 then
+    bad "max_cycles_factor must be >= 1 (got %d)" c.max_cycles_factor;
+  if c.deadline_seconds < 0. then
+    bad "deadline_seconds must be >= 0 (got %g)" c.deadline_seconds;
+  if c.slice_cycles < 1 then
+    bad "slice_cycles must be >= 1 (got %d)" c.slice_cycles;
+  if c.max_retries < 0 then
+    bad "max_retries must be >= 0 (got %d)" c.max_retries;
+  if c.backoff_seconds < 0. then
+    bad "backoff_seconds must be >= 0 (got %g)" c.backoff_seconds;
+  List.iter
+    (fun (cls, sec) ->
+      if not (List.mem cls Fault.all_classes) then
+        bad "deadline profile names unknown fault class %S" cls;
+      if sec < 0. then bad "deadline profile for class %S must be >= 0" cls)
+    c.deadline_profile;
+  match c.shard with
+  | Some (i, n) when n < 1 || i < 0 || i >= n ->
+      bad "shard index %d out of range for %d shard(s)" i n
+  | _ -> ()
 
 let default_workloads () =
   Suite.builtin_cases ()
@@ -110,8 +158,6 @@ let find_workload name =
     (default_workloads ())
 
 (* --- clean-run baseline checkpoints ------------------------------------- *)
-
-type baseline = { b_clean_cycles : int; b_clean_oob : int; b_hash : string }
 
 (* FNV-1a over a canonical dump of everything the baseline vouches for:
    the golden model's final memories and assertion count, plus the clean
@@ -248,8 +294,8 @@ let class_breakdown mutants =
    fails twice with the identical exception, in which case it is a
    deterministic crasher: quarantined immediately and never retried
    again (retrying it forever would only burn the campaign's time). *)
-let with_retries ?(max_retries = default_max_retries)
-    ?(backoff_seconds = default_backoff_seconds) ?cancel ~fault f =
+let with_retries ?(max_retries = default_config.max_retries)
+    ?(backoff_seconds = default_config.backoff_seconds) ?cancel ~fault f =
   let cancelled () =
     match cancel with Some tok -> Budget.cancel_requested tok | None -> false
   in
@@ -368,51 +414,47 @@ let entry_of_mutant i m =
       ("quarantined", Journal.Bool m.quarantined);
     ]
 
-type journal_header = {
-  h_workload : string;
-  h_seed : int;
-  h_faults : int;
-  h_max_cycles_factor : int;
-  h_deadline_seconds : float;
-  h_slice_cycles : int;
-  h_max_retries : int;
-  h_backoff_seconds : float;
-  h_backend : backend;
-  h_deadline_profile : (string * float) list;
-  h_baseline : baseline option;
-}
-
-let header_obj h =
+(* The journal header is the campaign config: its first line records
+   the workload and every parameter, so resuming, sharding and merging
+   all read back the one campaign that wrote it. Optional keys are
+   omitted at their empty value, and the shard identity comes last. *)
+let header_obj ~workload c =
   [
     ("journal", Journal.String journal_kind);
     ("version", Journal.Int journal_version);
-    ("workload", Journal.String h.h_workload);
-    ("seed", Journal.Int h.h_seed);
-    ("faults", Journal.Int h.h_faults);
-    ("max_cycles_factor", Journal.Int h.h_max_cycles_factor);
-    ("deadline_seconds", Journal.Float h.h_deadline_seconds);
-    ("slice_cycles", Journal.Int h.h_slice_cycles);
-    ("max_retries", Journal.Int h.h_max_retries);
-    ("backoff_seconds", Journal.Float h.h_backoff_seconds);
-    ("backend", Journal.String (backend_label h.h_backend));
+    ("workload", Journal.String workload);
+    ("seed", Journal.Int c.seed);
+    ("faults", Journal.Int c.faults);
+    ("max_cycles_factor", Journal.Int c.max_cycles_factor);
+    ("deadline_seconds", Journal.Float c.deadline_seconds);
+    ("slice_cycles", Journal.Int c.slice_cycles);
+    ("max_retries", Journal.Int c.max_retries);
+    ("backoff_seconds", Journal.Float c.backoff_seconds);
+    ("backend", Journal.String (backend_label c.backend));
   ]
-  @ (if h.h_deadline_profile = [] then []
+  @ (if c.deadline_profile = [] then []
      else
        [
          ( "deadline_profile",
-           Journal.String
-             (Budget.render_deadline_profile h.h_deadline_profile) );
+           Journal.String (Budget.render_deadline_profile c.deadline_profile)
+         );
        ])
+  @ (match c.baseline with
+    | None -> []
+    | Some b ->
+        [
+          ("clean_cycles", Journal.Int b.b_clean_cycles);
+          ("clean_oob", Journal.Int b.b_clean_oob);
+          ("baseline", Journal.String b.b_hash);
+        ])
   @
-  match h.h_baseline with
+  match c.shard with
   | None -> []
-  | Some b ->
-      [
-        ("clean_cycles", Journal.Int b.b_clean_cycles);
-        ("clean_oob", Journal.Int b.b_clean_oob);
-        ("baseline", Journal.String b.b_hash);
-      ]
+  | Some (i, n) -> [ ("shard", Journal.Int i); ("shards", Journal.Int n) ]
 
+(* Keys missing from an older journal take their defaults; journals
+   predating the compiled backend ran the interpreter, which is also the
+   default. *)
 let header_of_obj obj =
   match
     ( Journal.find_string obj "journal",
@@ -421,53 +463,69 @@ let header_of_obj obj =
       Journal.find_int obj "faults",
       Journal.find_int obj "max_cycles_factor" )
   with
-  | Some kind, Some w, Some seed, Some faults, Some factor
+  | Some kind, Some workload, Some seed, Some faults, Some max_cycles_factor
     when kind = journal_kind ->
+      let d = default_config in
+      let opt find key default =
+        Option.value ~default (find obj key)
+      in
       Some
-        {
-          h_workload = w;
-          h_seed = seed;
-          h_faults = faults;
-          h_max_cycles_factor = factor;
-          h_deadline_seconds =
-            Option.value ~default:default_deadline_seconds
-              (Journal.find_float obj "deadline_seconds");
-          h_slice_cycles =
-            Option.value ~default:default_slice_cycles
-              (Journal.find_int obj "slice_cycles");
-          h_max_retries =
-            Option.value ~default:default_max_retries
-              (Journal.find_int obj "max_retries");
-          h_backoff_seconds =
-            Option.value ~default:default_backoff_seconds
-              (Journal.find_float obj "backoff_seconds");
-          h_backend =
-            (* Journals predating the compiled backend ran the interpreter. *)
-            Option.value ~default:Interp
-              (Option.bind (Journal.find_string obj "backend") backend_of_label);
-          h_deadline_profile =
-            (match Journal.find_string obj "deadline_profile" with
-            | None -> []
-            | Some s -> (
-                try
-                  Budget.parse_deadline_profile
-                    ~valid_classes:Fault.all_classes s
-                with Invalid_argument msg ->
-                  failwith
-                    (Printf.sprintf
-                       "journal header carries a bad deadline profile: %s" msg)
-                ));
-          h_baseline =
-            (match
-               ( Journal.find_int obj "clean_cycles",
-                 Journal.find_int obj "clean_oob",
-                 Journal.find_string obj "baseline" )
-             with
-            | Some c, Some o, Some hsh when c >= 0 && o >= 0 ->
-                Some { b_clean_cycles = c; b_clean_oob = o; b_hash = hsh }
-            | _ -> None);
-        }
+        ( workload,
+          {
+            seed;
+            faults;
+            max_cycles_factor;
+            backend =
+              Option.value ~default:d.backend
+                (Option.bind (Journal.find_string obj "backend")
+                   backend_of_label);
+            deadline_seconds =
+              opt Journal.find_float "deadline_seconds" d.deadline_seconds;
+            slice_cycles = opt Journal.find_int "slice_cycles" d.slice_cycles;
+            max_retries = opt Journal.find_int "max_retries" d.max_retries;
+            backoff_seconds =
+              opt Journal.find_float "backoff_seconds" d.backoff_seconds;
+            deadline_profile =
+              (match Journal.find_string obj "deadline_profile" with
+              | None -> []
+              | Some s -> (
+                  try
+                    Budget.parse_deadline_profile
+                      ~valid_classes:Fault.all_classes s
+                  with Invalid_argument msg ->
+                    failwith
+                      (Printf.sprintf
+                         "journal header carries a bad deadline profile: %s"
+                         msg)));
+            baseline =
+              (match
+                 ( Journal.find_int obj "clean_cycles",
+                   Journal.find_int obj "clean_oob",
+                   Journal.find_string obj "baseline" )
+               with
+              | Some c, Some o, Some hsh when c >= 0 && o >= 0 ->
+                  Some { b_clean_cycles = c; b_clean_oob = o; b_hash = hsh }
+              | _ -> None);
+            shard =
+              (match
+                 (Journal.find_int obj "shard", Journal.find_int obj "shards")
+               with
+              | Some i, Some n -> Some (i, n)
+              | _ -> None);
+          } )
   | _ -> None
+
+(* The header keys, in header order, on which a journal's campaign
+   departs from the expected one. The backend is exempt: reports are
+   byte-identical across backends, so it cannot change a verdict. *)
+let foreign_keys ~expected:(wa, a) (wb, b) =
+  let a = header_obj ~workload:wa { a with backend = b.backend }
+  and b = header_obj ~workload:wb b in
+  let keys =
+    List.map fst a
+    @ List.filter (fun k -> not (List.mem_assoc k a)) (List.map fst b)
+  in
+  List.filter (fun k -> List.assoc_opt k a <> List.assoc_opt k b) keys
 
 (* Contiguous slice of a [plan]-task campaign owned by shard [i] of
    [shards]: the classic balanced split, [i*plan/shards, (i+1)*plan/shards).
@@ -497,43 +555,73 @@ let replay_table entries =
 
 (* --- the campaign driver ------------------------------------------------ *)
 
-let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
-    ?(backend = Interp)
-    ?(deadline_seconds = default_deadline_seconds)
-    ?(slice_cycles = default_slice_cycles)
-    ?(max_retries = default_max_retries)
-    ?(backoff_seconds = default_backoff_seconds)
-    ?(deadline_profile = []) ?shard ?(replay_only = false) ?baseline
-    ?on_entry ?on_writer ?(header_extra = []) ?cancel ?journal_path
-    ?resume_from ?stop_after (case : Suite.case) =
-  if faults < 0 then invalid_arg "Faultcamp.run: faults must be >= 0";
-  if max_cycles_factor < 1 then
-    invalid_arg "Faultcamp.run: max_cycles_factor must be >= 1";
-  if slice_cycles < 1 then
-    invalid_arg "Faultcamp.run: slice_cycles must be >= 1";
-  if max_retries < 0 then invalid_arg "Faultcamp.run: max_retries must be >= 0";
-  if backoff_seconds < 0. then
-    invalid_arg "Faultcamp.run: backoff_seconds must be >= 0";
-  List.iter
-    (fun (cls, sec) ->
-      if not (List.mem cls Fault.all_classes) then
-        invalid_arg
-          (Printf.sprintf
-             "Faultcamp.run: deadline profile names unknown fault class %S" cls);
-      if sec < 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Faultcamp.run: deadline profile for class %S must be >= 0" cls))
-    deadline_profile;
-  (match shard with
-  | Some (i, n) when n < 1 || i < 0 || i >= n ->
-      invalid_arg
-        (Printf.sprintf
-           "Faultcamp.run: shard index %d out of range for %d shard(s)" i n)
-  | _ -> ());
+(* Parse and compile the workload and run the golden model: the fixed
+   set-up every campaign needs, checkpointed baseline or not. *)
+let load (case : Suite.case) =
+  let prog = Lang.Parser.parse_string case.Suite.source in
+  let compiled = Compile.compile prog in
+  let golden_lookup, golden_stores =
+    Verify.memory_env prog ~inits:case.Suite.inits
+  in
+  let _, golden_stats = Lang.Interp.run ~memories:golden_lookup prog in
+  (prog, compiled, golden_stores, golden_stats.Lang.Interp.asserts_failed)
+
+(* Simulate the clean design and require it to verify against the
+   golden model; return its final stores and the baseline checkpoint
+   that vouches for it. *)
+let verify_clean ~prog ~compiled ~golden_stores ~golden_asserts
+    (case : Suite.case) =
+  let clean_lookup, clean_stores =
+    Verify.memory_env prog ~inits:case.Suite.inits
+  in
+  let clean_run = Simulate.run_compiled ~memories:clean_lookup compiled in
+  let clean_oob = total_oob clean_stores in
+  let clean_passed =
+    clean_run.Simulate.all_completed
+    && List.for_all2
+         (fun (_, g) (_, h) -> Memory.diff g h = [])
+         golden_stores clean_stores
+    && count_check_failures clean_run = golden_asserts
+  in
+  if not clean_passed then
+    failwith
+      (Printf.sprintf
+         "Faultcamp: workload %S fails verification before any fault is \
+          injected"
+         case.Suite.case_name);
+  let clean_cycles = clean_run.Simulate.total_cycles in
+  ( clean_stores,
+    {
+      b_clean_cycles = clean_cycles;
+      b_clean_oob = clean_oob;
+      b_hash =
+        baseline_hash ~golden_stores ~golden_asserts ~clean_cycles ~clean_oob;
+    } )
+
+let campaign ?(jobs = 1) ?cancel ?journal_path ?resume_from
+    ?(replay_only = false) ?stop_after ?on_entry ?on_writer config
+    (case : Suite.case) =
+  validate config;
   (match stop_after with
-  | Some k when k < 1 -> invalid_arg "Faultcamp.run: stop_after must be >= 1"
+  | Some k when k < 1 ->
+      invalid_arg
+        (Printf.sprintf "Faultcamp: stop_after must be >= 1 (got %d)" k)
   | _ -> ());
+  let {
+    seed;
+    faults;
+    max_cycles_factor;
+    backend;
+    deadline_seconds;
+    slice_cycles;
+    max_retries;
+    backoff_seconds;
+    deadline_profile;
+    baseline;
+    shard;
+  } =
+    config
+  in
   let wall_started = Unix.gettimeofday () in
   let cancel =
     (* --stop-after needs a token to fire even when the caller gave none. *)
@@ -541,20 +629,14 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     | None, Some _ -> Some (Budget.token ())
     | c, _ -> c
   in
-  let prog = Lang.Parser.parse_string case.Suite.source in
-  let compiled = Compile.compile prog in
-  let golden_lookup, golden_stores =
-    Verify.memory_env prog ~inits:case.Suite.inits
-  in
-  let _, golden_stats = Lang.Interp.run ~memories:golden_lookup prog in
-  let golden_asserts = golden_stats.Lang.Interp.asserts_failed in
+  let prog, compiled, golden_stores, golden_asserts = load case in
   (* The clean-run baseline. With a checkpoint from a journal header
      (resume / sharded workers) the golden model is recomputed — it is
      cheap and its stores are needed for judging anyway — and hashed
      together with the checkpointed clean values; a match vouches for
      the whole clean hardware run, which is then skipped. A mismatch
      means the workload or its stimuli changed under the journal. *)
-  let clean_cycles, clean_hw_oob, clean_stores =
+  let clean_stores, bline =
     match baseline with
     | Some b ->
         let recomputed =
@@ -564,44 +646,15 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
         if recomputed <> b.b_hash then
           failwith
             (Printf.sprintf
-               "Faultcamp.run: baseline hash mismatch for workload %S \
+               "Faultcamp: baseline hash mismatch for workload %S \
                 (checkpointed %s, recomputed %s) — the workload changed \
                 since the journal was written"
                case.Suite.case_name b.b_hash recomputed);
-        (b.b_clean_cycles, b.b_clean_oob, golden_stores)
-    | None ->
-        let clean_lookup, clean_stores =
-          Verify.memory_env prog ~inits:case.Suite.inits
-        in
-        let clean_run = Simulate.run_compiled ~memories:clean_lookup compiled in
-        let clean_hw_oob = total_oob clean_stores in
-        let clean_passed =
-          clean_run.Simulate.all_completed
-          && List.for_all2
-               (fun (_, g) (_, h) -> Memory.diff g h = [])
-               golden_stores clean_stores
-          && count_check_failures clean_run = golden_asserts
-        in
-        if not clean_passed then
-          failwith
-            (Printf.sprintf
-               "Faultcamp.run: workload %S fails verification before any \
-                fault is injected"
-               case.Suite.case_name);
-        (clean_run.Simulate.total_cycles, clean_hw_oob, clean_stores)
+        (golden_stores, b)
+    | None -> verify_clean ~prog ~compiled ~golden_stores ~golden_asserts case
   in
-  let bline =
-    {
-      b_clean_cycles = clean_cycles;
-      b_clean_oob = clean_hw_oob;
-      b_hash =
-        (match baseline with
-        | Some b -> b.b_hash
-        | None ->
-            baseline_hash ~golden_stores ~golden_asserts ~clean_cycles
-              ~clean_oob:clean_hw_oob);
-    }
-  in
+  let clean_cycles = bline.b_clean_cycles
+  and clean_hw_oob = bline.b_clean_oob in
   (* A mutant that runs much longer than the clean design is detected by
      the watchdog rather than simulated forever; the product is clamped
      so a very long clean run yields max_int, never a wrapped negative
@@ -626,7 +679,7 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     let fall msg =
       match backend with
       | Compiled ->
-          failwith (Printf.sprintf "Faultcamp.run: compiled backend: %s" msg)
+          failwith (Printf.sprintf "Faultcamp: compiled backend: %s" msg)
       | _ ->
           Printf.eprintf "faultcamp: auto backend: %s; using the interpreter\n%!"
             msg;
@@ -705,7 +758,7 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
               if i >= Array.length plan_arr then
                 failwith
                   (Printf.sprintf
-                     "Faultcamp.run: journal entry for task %d but the plan \
+                     "Faultcamp: journal entry for task %d but the plan \
                       has only %d faults — journal and plan disagree"
                      i (Array.length plan_arr));
               let expect = Fault.describe plan_arr.(i) in
@@ -713,7 +766,7 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
               | Some got when got <> expect ->
                   failwith
                     (Printf.sprintf
-                       "Faultcamp.run: journal task %d recorded fault %S but \
+                       "Faultcamp: journal task %d recorded fault %S but \
                         the plan generates %S — wrong journal for this \
                         workload/seed?"
                        i got expect)
@@ -722,7 +775,7 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
               | None ->
                   failwith
                     (Printf.sprintf
-                       "Faultcamp.run: journal task %d has an unknown \
+                       "Faultcamp: journal task %d has an unknown \
                         outcome — journal written by an incompatible version?"
                        i)
               | Some outcome ->
@@ -753,21 +806,8 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     | None -> None
     | Some path ->
         let header =
-          header_obj
-            {
-              h_workload = case.Suite.case_name;
-              h_seed = seed;
-              h_faults = faults;
-              h_max_cycles_factor = max_cycles_factor;
-              h_deadline_seconds = deadline_seconds;
-              h_slice_cycles = slice_cycles;
-              h_max_retries = max_retries;
-              h_backoff_seconds = backoff_seconds;
-              h_backend = backend;
-              h_deadline_profile = deadline_profile;
-              h_baseline = Some bline;
-            }
-          @ header_extra
+          header_obj ~workload:case.Suite.case_name
+            { config with baseline = Some bline }
         in
         Some
           (if resume_from = None then Journal.create ~path ~header
@@ -1049,10 +1089,8 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
   let wall_seconds = Unix.gettimeofday () -. wall_started in
   {
     workload = case.Suite.case_name;
-    seed;
-    requested = faults;
+    config;
     jobs;
-    backend;
     backend_used;
     (* Reaching this point means the clean design verified (or its
        checkpointed baseline hash matched, which vouches for the same). *)
@@ -1060,10 +1098,6 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     clean_cycles;
     clean_oob = clean_hw_oob;
     cycle_budget = budget_cycles;
-    deadline_seconds;
-    slice_cycles;
-    max_retries;
-    backoff_seconds;
     mutants;
     by_class = class_breakdown mutants;
     kill_rate =
@@ -1165,68 +1199,38 @@ let compact path =
   Journal.rewrite ~path objs;
   (1 + List.length entries, List.length objs)
 
-(* --- prepare ------------------------------------------------------------- *)
+(* --- short form, prepare, resume ------------------------------------------ *)
+
+let run ?(seed = default_config.seed) ?(faults = default_config.faults)
+    ?(backend = default_config.backend) ?jobs case =
+  campaign ?jobs { default_config with seed; faults; backend } case
 
 (* The coordinator's share of a campaign's setup: verify the clean
    design once, and learn the plan length (for slicing) and the
    baseline checkpoint (so workers skip the clean run). *)
-let prepare ?(seed = 1) ?(faults = 25) (case : Suite.case) =
-  if faults < 0 then invalid_arg "Faultcamp.prepare: faults must be >= 0";
-  let prog = Lang.Parser.parse_string case.Suite.source in
-  let compiled = Compile.compile prog in
-  let golden_lookup, golden_stores =
-    Verify.memory_env prog ~inits:case.Suite.inits
+let prepare config case =
+  validate config;
+  let prog, compiled, golden_stores, golden_asserts = load case in
+  let _, baseline =
+    verify_clean ~prog ~compiled ~golden_stores ~golden_asserts case
   in
-  let _, golden_stats = Lang.Interp.run ~memories:golden_lookup prog in
-  let golden_asserts = golden_stats.Lang.Interp.asserts_failed in
-  let clean_lookup, clean_stores =
-    Verify.memory_env prog ~inits:case.Suite.inits
-  in
-  let clean_run = Simulate.run_compiled ~memories:clean_lookup compiled in
-  let clean_hw_oob = total_oob clean_stores in
-  let clean_passed =
-    clean_run.Simulate.all_completed
-    && List.for_all2
-         (fun (_, g) (_, h) -> Memory.diff g h = [])
-         golden_stores clean_stores
-    && count_check_failures clean_run = golden_asserts
-  in
-  if not clean_passed then
-    failwith
-      (Printf.sprintf
-         "Faultcamp.prepare: workload %S fails verification before any fault \
-          is injected"
-         case.Suite.case_name);
-  let clean_cycles = clean_run.Simulate.total_cycles in
-  ( List.length (Fault.plan ~seed ~n:faults compiled),
-    {
-      b_clean_cycles = clean_cycles;
-      b_clean_oob = clean_hw_oob;
-      b_hash =
-        baseline_hash ~golden_stores ~golden_asserts ~clean_cycles
-          ~clean_oob:clean_hw_oob;
-    } )
+  ( List.length (Fault.plan ~seed:config.seed ~n:config.faults compiled),
+    baseline )
 
-(* --- resume ------------------------------------------------------------- *)
-
-let resume ?(jobs = 1) ?cancel ?stop_after path =
+let resume ?jobs ?cancel ?stop_after path =
   (* Auto-compaction: a resumed journal is about to grow another run's
      worth of entries; fold what is already there down to one entry per
      task first (also clearing worker heartbeats and stale footers). *)
   if needs_compaction path then ignore (compact path);
-  let h, entries = load_journal path in
-  match find_workload h.h_workload with
+  let (workload, config), entries = load_journal path in
+  match find_workload workload with
   | None ->
       failwith
         (Printf.sprintf "Faultcamp.resume: journal names unknown workload %S"
-           h.h_workload)
+           workload)
   | Some case ->
-      run ~seed:h.h_seed ~faults:h.h_faults
-        ~max_cycles_factor:h.h_max_cycles_factor ~jobs ~backend:h.h_backend
-        ~deadline_seconds:h.h_deadline_seconds ~slice_cycles:h.h_slice_cycles
-        ~max_retries:h.h_max_retries ~backoff_seconds:h.h_backoff_seconds
-        ~deadline_profile:h.h_deadline_profile ?baseline:h.h_baseline ?cancel
-        ~journal_path:path ~resume_from:entries ?stop_after case
+      campaign ?jobs ?cancel ~journal_path:path ~resume_from:entries
+        ?stop_after config case
 
 (* --- selectors ---------------------------------------------------------- *)
 

@@ -86,50 +86,7 @@ type class_stats = {
   retried : int;
 }
 
-type t = {
-  workload : string;
-  seed : int;
-  requested : int;  (** Faults asked for; fewer run if sites run out. *)
-  jobs : int;  (** Worker domains used for mutant execution. *)
-  backend : backend;  (** The backend the caller requested. *)
-  backend_used : backend;
-      (** What the campaign resolved to: {!Interp} or {!Compiled}, never
-          {!Auto}. Differs from [backend] exactly when [Auto] fell back
-          to the interpreter. *)
-  clean_passed : bool;
-  clean_cycles : int;
-  clean_oob : int;  (** Hardware OOB count of the clean run (baseline). *)
-  cycle_budget : int;
-      (** The per-mutant cycle bound actually used:
-          {!Budget.cycle_budget} of [clean_cycles] (overflow-clamped). *)
-  deadline_seconds : float;  (** Per-attempt wall deadline; 0 = none. *)
-  slice_cycles : int;  (** Watchdog granularity. *)
-  max_retries : int;
-  backoff_seconds : float;
-  mutants : mutant list;  (** In plan order. *)
-  by_class : class_stats list;
-  kill_rate : float;
-      (** Detected (killed + timeouts + crashed) over executed
-          (injected minus cancelled). *)
-  interrupted : bool;
-      (** Shutdown was requested or at least one mutant was cancelled. *)
-  replayed : int;  (** Mutants taken from the journal (resume runs). *)
-  wall_seconds : float;  (** Whole-campaign wall clock (compile included). *)
-  total_mutant_cycles : int;  (** Sum of [mutant_cycles] over all mutants. *)
-  mutants_per_second : float;  (** Throughput over [wall_seconds]. *)
-}
-
-val default_deadline_seconds : float
-val default_slice_cycles : int
-val default_max_retries : int
-val default_backoff_seconds : float
-
-val default_workloads : unit -> Suite.case list
-(** The builtin suite plus campaign-specific cases ([gcd8], [divmod]). *)
-
-val find_workload : string -> Suite.case option
-
-(** {1 Clean-run baseline checkpoints} *)
+(** {1 The campaign config} *)
 
 type baseline = {
   b_clean_cycles : int;
@@ -145,6 +102,119 @@ type baseline = {
     clean hardware design; a mismatch (the workload changed under the
     journal) is rejected with a one-line [Failure]. *)
 
+type config = {
+  seed : int;  (** Plan seed: the same seed reproduces the same plan. *)
+  faults : int;  (** Faults asked for; fewer run if sites run out. *)
+  max_cycles_factor : int;
+      (** Mutant cycle budget: {!Budget.cycle_budget}
+          [~max_cycles_factor clean_cycles]. *)
+  backend : backend;
+      (** The mutant evaluator. Reports are byte-identical across
+          backends: the compiled path is validated against the
+          event-driven reference on the clean design (and once more in
+          every batch) and falls back to the interpreter per batch on
+          any internal failure. *)
+  deadline_seconds : float;
+      (** Per-attempt wall-clock watchdog; [0.] disables. A hung mutant
+          is classified {!Timeout_wall} within one slice of it. *)
+  slice_cycles : int;
+      (** Watchdog granularity: cycles simulated between budget checks. *)
+  max_retries : int;
+  backoff_seconds : float;
+      (** A crashing mutant is retried up to [max_retries] times with
+          exponential backoff from [backoff_seconds]; two identical
+          crashes in a row quarantine it (see {!with_retries}). *)
+  deadline_profile : (string * float) list;
+      (** Per-fault-class overrides of [deadline_seconds] (see
+          {!Budget.parse_deadline_profile}; [0.] disables the watchdog
+          for that class). *)
+  baseline : baseline option;
+      (** A clean-run checkpoint from {!prepare} or a journal header: the
+          clean hardware simulation is skipped when its hash matches the
+          recomputed golden observables, and rejected with a one-line
+          [Failure] otherwise. *)
+  shard : (int * int) option;
+      (** [Some (i, n)] executes only the tasks of {!shard_slice}
+          [~shards:n ~plan i]; every other task becomes a {!Cancelled}
+          placeholder that is never simulated, never journaled, and does
+          not mark the run [interrupted]. *)
+}
+(** Everything that defines a campaign, and exactly what its journal
+    header records: {!resume}, the shard workers and the shard merge
+    all rebuild the campaign from this one record. *)
+
+val default_config : config
+(** Seed 1, 25 faults, cycle factor 4, {!Interp}, a 60 s deadline, 5000
+    cycle slices, 2 retries from a 0.05 s backoff, no deadline profile,
+    no baseline, no shard. *)
+
+val default_slice_cycles : int
+(** [default_config.slice_cycles]. *)
+
+val validate : config -> unit
+(** Raises [Invalid_argument] with a one-line message on an out-of-range
+    parameter: negative [faults], [deadline_seconds], [max_retries] or
+    [backoff_seconds], [max_cycles_factor] or [slice_cycles] below 1, a
+    profile naming an unknown class or negative seconds, or a shard
+    index outside its count. *)
+
+val header_obj : workload:string -> config -> Journal.obj
+(** The journal header line for [workload] run under a config. Optional
+    keys ([deadline_profile], the three baseline keys, [shard]/[shards])
+    are omitted at their empty value; the shard identity comes last. *)
+
+val header_of_obj : Journal.obj -> (string * config) option
+(** The inverse of {!header_obj}: the workload and the config, or [None]
+    when the object is not a campaign journal header. Keys an older
+    journal lacks take their {!default_config} values, so a header
+    written before the compiled backend existed loads as {!Interp}.
+    Raises [Failure] on an unparsable deadline profile. *)
+
+val foreign_keys :
+  expected:string * config -> string * config -> string list
+(** [foreign_keys ~expected journal] lists the header keys, in header
+    order, on which a journal's [(workload, config)] departs from the
+    expected campaign — [[]] when it records the same campaign. The
+    backend is exempt: it cannot change a verdict. *)
+
+(** {1 Results and workloads} *)
+
+type t = {
+  workload : string;
+  config : config;
+      (** The config the campaign ran under, as requested ([backend]
+          may be {!Auto}). *)
+  jobs : int;  (** Worker domains used for mutant execution. *)
+  backend_used : backend;
+      (** What the campaign resolved to: {!Interp} or {!Compiled}, never
+          {!Auto}. Differs from [config.backend] exactly when [Auto] fell
+          back to the interpreter. *)
+  clean_passed : bool;
+  clean_cycles : int;
+  clean_oob : int;  (** Hardware OOB count of the clean run (baseline). *)
+  cycle_budget : int;
+      (** The per-mutant cycle bound actually used:
+          {!Budget.cycle_budget} of [clean_cycles] (overflow-clamped). *)
+  mutants : mutant list;  (** In plan order. *)
+  by_class : class_stats list;
+  kill_rate : float;
+      (** Detected (killed + timeouts + crashed) over executed
+          (injected minus cancelled). *)
+  interrupted : bool;
+      (** Shutdown was requested or at least one mutant was cancelled. *)
+  replayed : int;  (** Mutants taken from the journal (resume runs). *)
+  wall_seconds : float;  (** Whole-campaign wall clock (compile included). *)
+  total_mutant_cycles : int;  (** Sum of [mutant_cycles] over all mutants. *)
+  mutants_per_second : float;  (** Throughput over [wall_seconds]. *)
+}
+
+val default_workloads : unit -> Suite.case list
+(** The builtin suite plus campaign-specific cases ([gcd8], [divmod]). *)
+
+val find_workload : string -> Suite.case option
+
+(** {1 Clean-run baseline checkpoints} *)
+
 val baseline_hash :
   golden_stores:(string * Operators.Memory.t) list ->
   golden_asserts:int ->
@@ -157,11 +227,11 @@ val baseline_to_string : baseline -> string
 
 val baseline_of_string : string -> baseline option
 
-val prepare : ?seed:int -> ?faults:int -> Suite.case -> int * baseline
+val prepare : config -> Suite.case -> int * baseline
 (** Verify the clean design once and return the campaign's plan length
     (for shard slicing) and its {!baseline} checkpoint (for workers to
-    skip the clean run). Raises [Failure] when the clean design fails
-    verification. *)
+    skip the clean run). Raises [Invalid_argument] on a bad config and
+    [Failure] when the clean design fails verification. *)
 
 val shard_slice : shards:int -> plan:int -> int -> int * int
 (** [shard_slice ~shards ~plan i] is the half-open task range
@@ -169,140 +239,81 @@ val shard_slice : shards:int -> plan:int -> int -> int * int
     campaign: contiguous, disjoint, covering [\[0, plan)] exactly.
     Raises [Invalid_argument] on an out-of-range index. *)
 
-val run :
-  ?seed:int ->
-  ?faults:int ->
-  ?max_cycles_factor:int ->
+(** {1 Running a campaign} *)
+
+val campaign :
   ?jobs:int ->
-  ?backend:backend ->
-  ?deadline_seconds:float ->
-  ?slice_cycles:int ->
-  ?max_retries:int ->
-  ?backoff_seconds:float ->
-  ?deadline_profile:(string * float) list ->
-  ?shard:int * int ->
-  ?replay_only:bool ->
-  ?baseline:baseline ->
-  ?on_entry:(int -> unit) ->
-  ?on_writer:(Journal.writer -> unit) ->
-  ?header_extra:Journal.obj ->
   ?cancel:Budget.token ->
   ?journal_path:string ->
   ?resume_from:Journal.obj list ->
+  ?replay_only:bool ->
   ?stop_after:int ->
+  ?on_entry:(int -> unit) ->
+  ?on_writer:(Journal.writer -> unit) ->
+  config ->
   Suite.case ->
   t
-(** Compile the workload once, run the golden model and a clean hardware
-    simulation, then one mutated simulation per planned fault (fresh
-    memory environment each time; cycle budget =
-    {!Budget.cycle_budget}[ ~max_cycles_factor clean_cycles]). [jobs]
-    (default 1) fans the mutant executions out over a {!Pool} of worker
-    domains; plan generation is single-threaded and results are
-    collected in plan order, so the campaign — mutant list, outcomes,
-    statistics — is bit-identical for a given seed at any [jobs]. Only
-    [wall_seconds] / [mutants_per_second] / [jobs] vary with the worker
-    count.
+(** The campaign driver. Compile the workload once, run the golden model
+    and a clean hardware simulation (skipped under a matching
+    [config.baseline]), then one mutated simulation per planned fault
+    (fresh memory environment each time). Raises [Invalid_argument] when
+    {!validate} rejects the config and [Failure] when the {e clean}
+    design already fails verification — a campaign over a broken design
+    measures nothing.
 
-    [backend] (default {!Interp}) selects the mutant evaluator. The
-    verdict of every mutant is backend-independent: the compiled path is
-    validated against the event-driven reference on the clean design
-    before use (and once more inside every batch), and it falls back to
-    the interpreter per batch on any internal failure, so a report is
-    byte-identical across backends — only throughput changes. The
-    journal header records the {e requested} backend and {!resume}
-    re-resolves it, so [Auto] journals stay portable across hosts.
+    The report — mutant list, outcomes, statistics — is a function of
+    the workload and the config alone: bit-identical at any [jobs]
+    (default 1; mutant executions fan out over a {!Pool}, plan
+    generation stays single-threaded) and at any backend. Only
+    [wall_seconds], [mutants_per_second], [jobs] and [backend_used] vary.
 
-    Resilience controls:
-    - [deadline_seconds] (default {!default_deadline_seconds}; [<= 0.]
-      disables) arms a per-attempt wall-clock watchdog; a hung mutant is
-      classified {!Timeout_wall} within one watchdog slice of the
-      deadline and the campaign moves on.
-    - [slice_cycles] sets the watchdog granularity (cycles simulated
-      between budget checks).
-    - A crashing mutant is retried up to [max_retries] times with
-      exponential backoff starting at [backoff_seconds]; two identical
-      crashes in a row quarantine it immediately (see {!with_retries}).
+    Execution controls, none of which changes a verdict:
     - [cancel] is polled between slices and before each mutant: once it
       fires, running mutants stop as {!Cancelled} and queued ones never
       simulate. Pair it with {!Budget.install_sigint} for Ctrl-C.
-    - [journal_path] appends one JSONL line per finished mutant as it
-      completes (crash-safe checkpointing; cancelled mutants are not
-      recorded), plus a header and a final status line.
+    - [journal_path] writes {!header_obj} of the config (with the
+      computed baseline) and then one JSONL line per finished mutant as
+      it completes (cancelled mutants are not recorded), plus a final
+      status line.
     - [resume_from] replays previously journaled entries (validated
-      against the regenerated plan) and executes only the rest — used by
-      {!resume}.
-    - [stop_after] cancels the campaign after that many journal entries
-      have been written by this process (testing hook for the
+      against the regenerated plan) and appends to [journal_path]
+      instead of creating it — used by {!resume}.
+    - [replay_only] executes {e nothing}: entries from [resume_from] are
+      replayed and every task they do not cover becomes a {!Cancelled}
+      placeholder (these {e do} mark the run [interrupted]). This is the
+      shard-merge primitive: with full coverage the report is
+      byte-identical to an uninterrupted single-process run.
+    - [stop_after] ([>= 1]) cancels the campaign after that many journal
+      entries have been written by this process (testing hook for the
       interrupt/resume path).
-
-    Sharding / coordination controls (used by {!Shard}):
-    - [deadline_profile] overrides [deadline_seconds] per fault class
-      (see {!Budget.parse_deadline_profile}; [0] disables the watchdog
-      for that class). Validated up front; recorded in the journal
-      header and restored by {!resume}.
-    - [shard = (i, n)] executes only the tasks of {!shard_slice}
-      [~shards:n ~plan i]; every other task becomes a {!Cancelled}
-      placeholder that is never simulated, never journaled, and does not
-      mark this run [interrupted].
-    - [replay_only] executes {e nothing}: journaled entries from
-      [resume_from] are replayed and every task they do not cover
-      becomes a {!Cancelled} placeholder (these {e do} mark the run
-      [interrupted] — the merge of incomplete shards is a partial
-      report). This is the shard-merge primitive: with full coverage
-      the report is byte-identical to an uninterrupted single-process
-      run.
-    - [baseline] is a checkpoint from a previous {!prepare}/{!run}: the
-      clean hardware simulation is skipped when its hash matches the
-      recomputed golden observables, and rejected with a one-line
-      [Failure] otherwise.
     - [on_entry n] fires after the [n]-th journal entry written by this
       process (chaos kill hook); [on_writer] receives the journal writer
-      right after the header is written (worker heartbeat hook);
-      [header_extra] appends extra fields to the journal header (shard
-      identity).
+      right after the header is written (worker heartbeat hook). *)
 
-    Raises [Failure] when the {e clean} design already fails
-    verification — a campaign over a broken design measures nothing —
-    and [Invalid_argument] on out-of-range parameters. *)
+val run :
+  ?seed:int -> ?faults:int -> ?backend:backend -> ?jobs:int -> Suite.case -> t
+(** [run ?seed ?faults ?backend ?jobs case] is {!campaign} under
+    {!default_config} with those three parameters replaced. *)
 
 val resume : ?jobs:int -> ?cancel:Budget.token -> ?stop_after:int -> string -> t
-(** [resume path] reloads the journal at [path] (tolerating a torn final
-    line), re-runs {!run} with the campaign parameters recorded in the
-    journal header — including its deadline profile and clean-run
-    {!baseline}, so the clean simulation is skipped — replays every
-    completed entry and executes only the remaining mutants, appending
-    their entries to the same journal. When the journal has accreted
-    duplicate entries, stale footers or heartbeat lines, it is
-    {!compact}ed in place first. The resulting report is identical to an
-    uninterrupted run. Raises [Failure] when the file is empty, has no
-    faultcamp header, names an unknown workload, disagrees with the
-    regenerated fault plan, or carries a baseline that no longer matches
-    the workload. *)
+(** [resume path] loads the journal at [path] (tolerating a torn final
+    line) and calls {!campaign} with the config its header records —
+    shard identity, deadline profile and {!baseline} included, so the
+    clean simulation is skipped and a shard journal stays within its
+    slice — replaying every completed entry and appending the remaining
+    ones to the same journal. When the journal has accreted duplicate
+    entries, stale footers or heartbeat lines, it is {!compact}ed in
+    place first. The report is identical to an uninterrupted run.
+    Raises [Failure] when the file is empty, has no faultcamp header,
+    names an unknown workload, disagrees with the regenerated fault
+    plan, or carries a baseline that no longer matches the workload. *)
 
 (** {1 Journal maintenance} *)
 
-type journal_header = {
-  h_workload : string;
-  h_seed : int;
-  h_faults : int;
-  h_max_cycles_factor : int;
-  h_deadline_seconds : float;
-  h_slice_cycles : int;
-  h_max_retries : int;
-  h_backoff_seconds : float;
-  h_backend : backend;
-  h_deadline_profile : (string * float) list;
-  h_baseline : baseline option;
-}
-(** The campaign parameters a journal's first line records — everything
-    {!resume} needs to regenerate the identical plan, plus the optional
-    clean-run {!baseline} checkpoint and per-class deadline profile.
-    {!Shard} validates shard journals against the coordinator's own
-    header before merging. *)
-
-val load_journal : string -> journal_header * Journal.obj list
-(** Load and parse a campaign journal: its header and every entry after
-    it (heartbeats and status footers included; torn lines dropped).
+val load_journal : string -> (string * config) * Journal.obj list
+(** Load and parse a campaign journal: the workload and config its
+    header records ({!header_of_obj}), and every entry after it
+    (heartbeats and status footers included; torn lines dropped).
     Raises [Failure] when the file is empty or does not start with a
     faultcamp journal header. *)
 
@@ -324,7 +335,7 @@ val run_mutants :
   exec:(int -> Faults.Fault.t -> mutant) ->
   Faults.Fault.t list ->
   mutant list
-(** The execution core of {!run}, exposed for testing the isolation
+(** The execution core of {!campaign}, exposed for testing the isolation
     guarantee: apply [exec] to every planned fault (with its plan index)
     over a [jobs]-wide pool, returning mutants in plan order; a raising
     [exec] yields a {!Crashed} mutant (with the exception printed into

@@ -185,11 +185,12 @@ let campaign_timing (c : Faultcamp.t) =
   let backend =
     (* "auto→interp" makes a silent fallback visible in the timing line
        (stderr only — the report itself stays backend-independent). *)
-    if c.Faultcamp.backend = c.Faultcamp.backend_used then
+    let requested = c.Faultcamp.config.Faultcamp.backend in
+    if requested = c.Faultcamp.backend_used then
       Faultcamp.backend_label c.Faultcamp.backend_used
     else
       Printf.sprintf "%s→%s"
-        (Faultcamp.backend_label c.Faultcamp.backend)
+        (Faultcamp.backend_label requested)
         (Faultcamp.backend_label c.Faultcamp.backend_used)
   in
   Printf.sprintf "wall %.3fs, %.1f mutants/s over %d job%s, %s backend; %s; %s"

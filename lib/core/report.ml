@@ -54,12 +54,12 @@ let verification_to_string v = Format.asprintf "%a" verification v
    [Metrics.campaign_timing], which the CLI keeps on stderr. *)
 let campaign ?(verbose = false) ppf (c : Faultcamp.t) =
   Format.fprintf ppf "=== mutation campaign: %s (seed=%d) ===@."
-    c.Faultcamp.workload c.Faultcamp.seed;
+    c.Faultcamp.workload c.Faultcamp.config.Faultcamp.seed;
   Format.fprintf ppf "clean run: PASS in %d cycles (hw oob baseline %d)@."
     c.Faultcamp.clean_cycles c.Faultcamp.clean_oob;
   Format.fprintf ppf "faults: %d planned of %d requested@.@."
     (List.length c.Faultcamp.mutants)
-    c.Faultcamp.requested;
+    c.Faultcamp.config.Faultcamp.faults;
   if verbose then begin
     List.iter
       (fun (m : Faultcamp.mutant) ->

@@ -4,8 +4,8 @@
    deaths, respawns and chaos disruptions a campaign goes through, the
    merged report must equal the one an uninterrupted single process
    prints. Everything here leans on machinery the resume path already
-   proves out — workers are ordinary [Faultcamp.run] calls over a slice
-   of the plan, recovery is journal replay, and the merge is a
+   proves out — workers are ordinary [Faultcamp.campaign] calls over a
+   slice of the plan, recovery is journal replay, and the merge is a
    [replay_only] run over the union of the shard journals.
 
    Self-healing, concretely:
@@ -21,16 +21,8 @@
      corrupted entry still counts as the progress it was. *)
 
 type config = {
+  campaign : Faultcamp.config;
   case : Suite.case;
-  seed : int;
-  faults : int;
-  max_cycles_factor : int;
-  backend : Faultcamp.backend;
-  deadline_seconds : float;
-  slice_cycles : int;
-  max_retries : int;
-  backoff_seconds : float;
-  deadline_profile : (string * float) list;
   shards : int;
   worker_jobs : int;
   dir : string;
@@ -42,16 +34,8 @@ type config = {
 
 let default_config ~case ~dir ~worker_exe =
   {
+    campaign = { Faultcamp.default_config with backend = Faultcamp.Auto };
     case;
-    seed = 1;
-    faults = 25;
-    max_cycles_factor = 4;
-    backend = Faultcamp.Auto;
-    deadline_seconds = Faultcamp.default_deadline_seconds;
-    slice_cycles = Faultcamp.default_slice_cycles;
-    max_retries = Faultcamp.default_max_retries;
-    backoff_seconds = Faultcamp.default_backoff_seconds;
-    deadline_profile = [];
     shards = 1;
     worker_jobs = 1;
     dir;
@@ -62,6 +46,7 @@ let default_config ~case ~dir ~worker_exe =
   }
 
 let validate cfg =
+  Faultcamp.validate cfg.campaign;
   if cfg.shards < 1 then invalid_arg "Shard: shards must be >= 1";
   if cfg.worker_jobs < 1 then invalid_arg "Shard: worker_jobs must be >= 1";
   if cfg.watchdog_seconds <= 0. then
@@ -74,24 +59,25 @@ let journal_path cfg i =
   Filename.concat cfg.dir (Printf.sprintf "shard-%d-of-%d.jsonl" i cfg.shards)
 
 let worker_args cfg ~baseline ~shard ~chaos_exec =
+  let c = cfg.campaign in
   [
     "campaign";
     "--workload"; cfg.case.Suite.case_name;
-    "--faults"; string_of_int cfg.faults;
-    "--seed"; string_of_int cfg.seed;
-    "--max-cycles-factor"; string_of_int cfg.max_cycles_factor;
+    "--faults"; string_of_int c.faults;
+    "--seed"; string_of_int c.seed;
+    "--max-cycles-factor"; string_of_int c.max_cycles_factor;
     "--jobs"; string_of_int cfg.worker_jobs;
-    "--backend"; Faultcamp.backend_label cfg.backend;
-    "--deadline"; Printf.sprintf "%g" cfg.deadline_seconds;
-    "--slice"; string_of_int cfg.slice_cycles;
-    "--retries"; string_of_int cfg.max_retries;
-    "--backoff"; Printf.sprintf "%g" cfg.backoff_seconds;
+    "--backend"; Faultcamp.backend_label c.backend;
+    "--deadline"; Budget.seconds_to_string c.deadline_seconds;
+    "--slice"; string_of_int c.slice_cycles;
+    "--retries"; string_of_int c.max_retries;
+    "--backoff"; Budget.seconds_to_string c.backoff_seconds;
   ]
-  @ (if cfg.deadline_profile = [] then []
+  @ (if c.deadline_profile = [] then []
      else
        [
          "--deadline-profile";
-         Budget.render_deadline_profile cfg.deadline_profile;
+         Budget.render_deadline_profile c.deadline_profile;
        ])
   @ [
       "--journal"; journal_path cfg shard;
@@ -109,10 +95,8 @@ let worker_args cfg ~baseline ~shard ~chaos_exec =
 
 let heartbeat_interval = 0.25
 
-let worker ~workload ~seed ~faults ~max_cycles_factor ~jobs ~backend
-    ~deadline_seconds ~slice_cycles ~max_retries ~backoff_seconds
-    ~deadline_profile ~shard_index ~shard_count ~journal_path:path ~baseline
-    ~chaos_exec () =
+let worker ~workload ~jobs ~journal_path:path ~chaos_exec
+    (config : Faultcamp.config) =
   (* A fresh session: a terminal Ctrl-C is delivered to the coordinator
      only, which fans SIGINT out explicitly — otherwise workers would
      see the terminal's SIGINT *and* the coordinator's, and the second
@@ -147,19 +131,26 @@ let worker ~workload ~seed ~faults ~max_cycles_factor ~jobs ~backend
                 | exception Failure _ ->
                     (* A torn header: nothing usable, start fresh. *)
                     None
-                | h, _ ->
-                    if
-                      h.Faultcamp.h_workload <> workload
-                      || h.Faultcamp.h_seed <> seed
-                      || h.Faultcamp.h_faults <> faults
-                    then
-                      failwith
-                        (Printf.sprintf
-                           "shard journal %s belongs to a different campaign \
-                            (workload %S seed %d faults %d; this worker runs \
-                            %S seed %d faults %d)"
-                           path h.Faultcamp.h_workload h.Faultcamp.h_seed
-                           h.Faultcamp.h_faults workload seed faults);
+                | (w, got), _ ->
+                    (* The journal must record this very campaign; a
+                       worker started without a baseline adopts the
+                       journal's, as a resume does. *)
+                    let expected =
+                      match config.baseline with
+                      | None -> { config with baseline = got.baseline }
+                      | Some _ -> config
+                    in
+                    (match
+                       Faultcamp.foreign_keys ~expected:(workload, expected)
+                         (w, got)
+                     with
+                    | [] -> ()
+                    | keys ->
+                        failwith
+                          (Printf.sprintf
+                             "shard journal %s belongs to a different \
+                              campaign (its header differs in %s)"
+                             path (String.concat ", " keys)));
                     ignore (Faultcamp.compact path);
                     let _, entries = Faultcamp.load_journal path in
                     Some entries)
@@ -201,18 +192,8 @@ let worker ~workload ~seed ~faults ~max_cycles_factor ~jobs ~backend
               Atomic.set stop_hb true;
               Option.iter Domain.join !hb_domain)
             (fun () ->
-              Faultcamp.run ~seed ~faults ~max_cycles_factor ~jobs ~backend
-                ~deadline_seconds ~slice_cycles ~max_retries ~backoff_seconds
-                ~deadline_profile
-                ~shard:(shard_index, shard_count)
-                ?baseline ?on_entry ~on_writer
-                ~header_extra:
-                  [
-                    ("shard", Journal.Int shard_index);
-                    ("shards", Journal.Int shard_count);
-                  ]
-                ~cancel:token ~journal_path:path ?resume_from:resume_entries
-                case)
+              Faultcamp.campaign ~jobs ~cancel:token ~journal_path:path
+                ?resume_from:resume_entries ?on_entry ~on_writer config case)
         in
         if campaign.Faultcamp.interrupted then 130 else 0
       with
@@ -237,38 +218,34 @@ let merge_journals ?cancel cfg ~baseline ~plan paths =
     else
       match Journal.load path with
       | [] -> [] (* nothing survived — the slice re-runs as cancelled *)
-      | raw_header :: _ ->
-          let h, entries = Faultcamp.load_journal path in
-          if
-            h.Faultcamp.h_workload <> cfg.case.Suite.case_name
-            || h.Faultcamp.h_seed <> cfg.seed
-            || h.Faultcamp.h_faults <> cfg.faults
-            || (match h.Faultcamp.h_baseline with
-               | Some b -> b.Faultcamp.b_hash <> baseline.Faultcamp.b_hash
-               | None -> true)
-          then
-            failwith
-              (Printf.sprintf
-                 "Shard.merge_journals: %s is a foreign shard journal \
-                  (workload %S seed %d faults %d; this campaign is %S seed \
-                  %d faults %d)"
-                 path h.Faultcamp.h_workload h.Faultcamp.h_seed
-                 h.Faultcamp.h_faults cfg.case.Suite.case_name cfg.seed
-                 cfg.faults);
+      | _ :: _ ->
+          let (w, got), entries = Faultcamp.load_journal path in
+          (* The shard identity is checked on its own below, so that a
+             misplaced journal gets its own diagnostic. *)
+          let expected =
+            { cfg.campaign with baseline = Some baseline; shard = got.shard }
+          in
           (match
-             ( Journal.find_int raw_header "shard",
-               Journal.find_int raw_header "shards" )
+             Faultcamp.foreign_keys
+               ~expected:(cfg.case.Suite.case_name, expected)
+               (w, got)
            with
-          | Some si, Some sn when si = i && sn = cfg.shards -> ()
-          | got ->
+          | [] -> ()
+          | keys ->
               failwith
                 (Printf.sprintf
-                   "Shard.merge_journals: %s does not identify as shard %d \
-                    of %d (header says %s)"
-                   path i cfg.shards
-                   (match got with
-                   | Some si, Some sn -> Printf.sprintf "shard %d of %d" si sn
-                   | _ -> "no shard identity")));
+                   "Shard.merge_journals: %s is a foreign shard journal (its \
+                    header differs from this campaign's in %s)"
+                   path (String.concat ", " keys)));
+          if got.shard <> Some (i, cfg.shards) then
+            failwith
+              (Printf.sprintf
+                 "Shard.merge_journals: %s does not identify as shard %d of \
+                  %d (header says %s)"
+                 path i cfg.shards
+                 (match got.shard with
+                 | Some (si, sn) -> Printf.sprintf "shard %d of %d" si sn
+                 | None -> "no shard identity"));
           let lo, hi = Faultcamp.shard_slice ~shards:cfg.shards ~plan i in
           List.iter
             (fun e ->
@@ -288,12 +265,14 @@ let merge_journals ?cancel cfg ~baseline ~plan paths =
      compiled backend's (costly, pointless here) clean-design
      revalidation, and the report renders identically either way —
      backend fields are diagnostic, not rendered. *)
-  Faultcamp.run ~seed:cfg.seed ~faults:cfg.faults
-    ~max_cycles_factor:cfg.max_cycles_factor ~backend:Faultcamp.Interp
-    ~deadline_seconds:cfg.deadline_seconds ~slice_cycles:cfg.slice_cycles
-    ~max_retries:cfg.max_retries ~backoff_seconds:cfg.backoff_seconds
-    ~deadline_profile:cfg.deadline_profile ~replay_only:true ~baseline ?cancel
-    ~resume_from:entries cfg.case
+  Faultcamp.campaign ?cancel ~replay_only:true ~resume_from:entries
+    {
+      cfg.campaign with
+      backend = Faultcamp.Interp;
+      baseline = Some baseline;
+      shard = None;
+    }
+    cfg.case
 
 (* --- the coordinator ----------------------------------------------------- *)
 
@@ -373,7 +352,7 @@ let rec mkdir_p dir =
 let run ?cancel cfg =
   validate cfg;
   let started = now () in
-  let plan, baseline = Faultcamp.prepare ~seed:cfg.seed ~faults:cfg.faults cfg.case in
+  let plan, baseline = Faultcamp.prepare cfg.campaign cfg.case in
   let chaos_plan =
     Option.map (fun seed -> Chaos.plan ~seed ~shards:cfg.shards) cfg.chaos
   in

@@ -15,7 +15,7 @@
     The contract, pinned by the tests at every shard count and under
     every {!Chaos} schedule: {!merge_journals} produces a report
     byte-identical to an uninterrupted single-process run. The merge
-    replays the shard journals through {!Faultcamp.run}'s replay table
+    replays the shard journals through {!Faultcamp.campaign}'s replay table
     ([replay_only]), so journal validation, last-entry-wins semantics
     and report rendering are exactly the machinery the resume path
     already proves out.
@@ -26,18 +26,14 @@
     intact for a later resume. *)
 
 type config = {
+  campaign : Faultcamp.config;
+      (** The campaign every worker runs and the merge reproduces. Its
+          [shard] is ignored (each worker gets its own) and so is its
+          [baseline] (the coordinator computes one with
+          {!Faultcamp.prepare}). *)
   case : Suite.case;
       (** Must be one of {!Faultcamp.default_workloads} — workers are
           separate processes and look the workload up by name. *)
-  seed : int;
-  faults : int;
-  max_cycles_factor : int;
-  backend : Faultcamp.backend;  (** Workers' mutant evaluator. *)
-  deadline_seconds : float;
-  slice_cycles : int;
-  max_retries : int;
-  backoff_seconds : float;
-  deadline_profile : (string * float) list;
   shards : int;
   worker_jobs : int;  (** [-j] inside each worker. *)
   dir : string;  (** Shard journals live here (created if missing). *)
@@ -56,12 +52,12 @@ type config = {
           corrupts journal tails — and the merged report must still be
           byte-identical to an undisturbed run. *)
 }
+(** A campaign plus the coordinator's own knobs. *)
 
 val default_config :
   case:Suite.case -> dir:string -> worker_exe:string -> config
-(** [seed 1], [faults 25], backend [Auto], 1 shard, 1 job per worker,
-    10 s watchdog, 0.25 s respawn backoff, no chaos, and the
-    {!Faultcamp} resilience defaults. *)
+(** {!Faultcamp.default_config} with backend [Auto], 1 shard, 1 job per
+    worker, 10 s watchdog, 0.25 s respawn backoff, no chaos. *)
 
 val journal_path : config -> int -> string
 (** [journal_path cfg i] — where shard [i]'s journal lives
@@ -71,41 +67,32 @@ val worker_args : config -> baseline:Faultcamp.baseline -> shard:int ->
   chaos_exec:Chaos.disruption option -> string list
 (** The argv (after the executable) the coordinator passes to shard
     [shard]'s worker — [campaign], the campaign flags and the
-    [--worker] protocol flags. Exposed so the CLI and the tests agree
-    on the wire format. *)
+    [--worker] protocol flags, all rendered from [cfg.campaign]. Exposed
+    so the CLI and the tests agree on the wire format. *)
 
 (** {1 The worker side} *)
 
 val worker :
   workload:string ->
-  seed:int ->
-  faults:int ->
-  max_cycles_factor:int ->
   jobs:int ->
-  backend:Faultcamp.backend ->
-  deadline_seconds:float ->
-  slice_cycles:int ->
-  max_retries:int ->
-  backoff_seconds:float ->
-  deadline_profile:(string * float) list ->
-  shard_index:int ->
-  shard_count:int ->
   journal_path:string ->
-  baseline:Faultcamp.baseline option ->
   chaos_exec:Chaos.disruption option ->
-  unit ->
+  Faultcamp.config ->
   int
-(** The [--worker] entry point: detach into a fresh session (Ctrl-C on
-    the terminal reaches the coordinator only), resume the shard's
-    journal if one exists (compacting it first, so a corrupted tail is
-    healed before appending), run the shard's slice with a heartbeat
-    line appended to the journal every few hundred milliseconds, and
-    return the exit code (0 complete, 130 interrupted). Obeys
-    [chaos_exec]: [Kill_after k] SIGKILLs the process right after its
-    [k]-th journal entry; [Stall] sleeps without heartbeating until the
-    coordinator's watchdog kills it. A journal written by a different
-    campaign, or a baseline that no longer matches the workload, is
-    rejected with a one-line error (exit 1). *)
+(** The [--worker] entry point: run [workload] under the config — whose
+    [shard] names this worker's slice and whose [baseline] is the
+    coordinator's checkpoint — against [journal_path] with [jobs]
+    domains. It detaches into a fresh session (Ctrl-C on the terminal
+    reaches the coordinator only), resumes the shard's journal if one
+    exists (compacting it first, so a corrupted tail is healed before
+    appending), appends a heartbeat line to the journal every few
+    hundred milliseconds, and returns the exit code (0 complete, 130
+    interrupted). Obeys [chaos_exec]: [Kill_after k] SIGKILLs the
+    process right after its [k]-th journal entry; [Stall] sleeps without
+    heartbeating until the coordinator's watchdog kills it. A journal
+    whose header records any other parameter (the backend aside), or a
+    baseline that no longer matches the workload, is rejected with a
+    one-line error (exit 1). *)
 
 (** {1 Merging} *)
 
@@ -117,9 +104,11 @@ val merge_journals :
   string list ->
   Faultcamp.t
 (** Merge the shard journals (one path per shard, in shard order) into
-    a single campaign: validate each journal's header against the
-    coordinator's campaign and its entries against the shard's slice,
-    then replay their union through {!Faultcamp.run} [~replay_only].
+    a single campaign: require each journal's header to record
+    [cfg.campaign] (every parameter but the verdict-neutral backend,
+    with [baseline]) and the shard's identity, and its entries to lie in
+    the shard's slice; then replay their union through
+    {!Faultcamp.campaign} [~replay_only].
     With full coverage the result renders byte-identically to an
     uninterrupted single-process run; missing tasks (quarantined or
     unfinished shards, missing journal files) surface as cancelled

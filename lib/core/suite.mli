@@ -68,7 +68,7 @@ val run :
     ordering and content for any job count (per-case [seconds] and
     [total_seconds] are wall-clock and naturally vary).
 
-    Resilience controls, mirroring {!Faultcamp.run}:
+    Resilience controls, mirroring {!Faultcamp.campaign}:
     - [cancel] is polled before each task and between simulation slices
       (threaded into {!Verify} as a {!Budget}); once it fires, remaining
       cells become {!Cancelled_case}. Pair with

@@ -264,14 +264,19 @@ let test_auto_resolves_compiled () =
   check_bool "auto picked the compiled backend" true
     (c.Faultcamp.backend_used = Faultcamp.Compiled);
   check_bool "requested backend recorded" true
-    (c.Faultcamp.backend = Faultcamp.Auto)
+    (c.Faultcamp.config.Faultcamp.backend = Faultcamp.Auto)
 
 let test_compiled_journal_resume () =
   with_temp_file (fun path ->
       let case = gcd_case () in
       let partial =
-        Faultcamp.run ~seed:1 ~faults:80 ~backend:Faultcamp.Compiled
-          ~journal_path:path ~stop_after:2 case
+        Faultcamp.campaign ~journal_path:path ~stop_after:2
+          {
+            Faultcamp.default_config with
+            faults = 80;
+            backend = Faultcamp.Compiled;
+          }
+          case
       in
       check_bool "stop-after interrupts the campaign" true
         partial.Faultcamp.interrupted;
@@ -279,7 +284,7 @@ let test_compiled_journal_resume () =
       (* The journal header carries the requested backend; the resumed
          remainder re-resolves it rather than silently downgrading. *)
       check_bool "resume re-resolves the journaled backend" true
-        (resumed.Faultcamp.backend = Faultcamp.Compiled
+        (resumed.Faultcamp.config.Faultcamp.backend = Faultcamp.Compiled
         && resumed.Faultcamp.backend_used = Faultcamp.Compiled);
       check_bool "resume replays checkpointed work" true
         (resumed.Faultcamp.replayed >= 2);

@@ -299,19 +299,13 @@ let test_crash_counted_as_detected () =
   let campaign =
     {
       Faultcamp.workload = "synthetic";
-      seed = 0;
-      requested = 3;
+      config = { Faultcamp.default_config with seed = 0; faults = 3 };
       jobs = 1;
-      backend = Faultcamp.Interp;
       backend_used = Faultcamp.Interp;
       clean_passed = true;
       clean_cycles = 50;
       clean_oob = 0;
       cycle_budget = 1200;
-      deadline_seconds = Faultcamp.default_deadline_seconds;
-      slice_cycles = Faultcamp.default_slice_cycles;
-      max_retries = Faultcamp.default_max_retries;
-      backoff_seconds = Faultcamp.default_backoff_seconds;
       mutants;
       by_class =
         [

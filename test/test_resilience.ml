@@ -130,6 +130,9 @@ let test_journal_torn_tail_dropped () =
 
 (* --- cooperative watchdog slicing --------------------------------------- *)
 
+(* The seed-4, 6-fault campaign most tests below run. *)
+let seed4 = { Faultcamp.default_config with seed = 4; faults = 6 }
+
 let vecadd_case () =
   match Faultcamp.find_workload "vecadd" with
   | Some c -> c
@@ -195,8 +198,15 @@ let test_campaign_wall_watchdog_classifies_timeouts () =
      reported as detected Timeout_wall while the campaign completes and
      the other mutants still get their ordinary verdicts. *)
   let campaign =
-    Faultcamp.run ~seed:1 ~faults:8 ~max_cycles_factor:1_000_000
-      ~deadline_seconds:0.25 ~slice_cycles:500 (gcd8_case ())
+    Faultcamp.campaign
+      {
+        Faultcamp.default_config with
+        faults = 8;
+        max_cycles_factor = 1_000_000;
+        deadline_seconds = 0.25;
+        slice_cycles = 500;
+      }
+      (gcd8_case ())
   in
   check_int "every planned mutant has a verdict" 8
     (List.length campaign.Faultcamp.mutants);
@@ -292,7 +302,8 @@ let test_precancelled_campaign_is_all_cancelled () =
       let tok = Budget.token () in
       Budget.cancel tok;
       let campaign =
-        Faultcamp.run ~seed:1 ~faults:6 ~cancel:tok ~journal_path:path
+        Faultcamp.campaign ~cancel:tok ~journal_path:path
+          { Faultcamp.default_config with faults = 6 }
           (vecadd_case ())
       in
       check_bool "marked interrupted" true campaign.Faultcamp.interrupted;
@@ -317,7 +328,7 @@ let test_precancelled_campaign_is_all_cancelled () =
 let test_stop_after_then_resume () =
   with_temp_file (fun path ->
       let partial =
-        Faultcamp.run ~seed:4 ~faults:6 ~journal_path:path ~stop_after:2
+        Faultcamp.campaign ~journal_path:path ~stop_after:2 seed4
           (vecadd_case ())
       in
       check_bool "stop-after interrupts the campaign" true
@@ -383,7 +394,8 @@ let prop_truncated_journal_resumes_identically =
       let jobs = if parallel then 4 else 1 in
       with_temp_file (fun path ->
           let fresh =
-            Faultcamp.run ~seed ~faults:6 ~jobs ~journal_path:path
+            Faultcamp.campaign ~jobs ~journal_path:path
+              { Faultcamp.default_config with seed; faults = 6 }
               (vecadd_case ())
           in
           let fresh_report = Report.campaign_to_string ~verbose:true fresh in
@@ -431,30 +443,23 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* Shard journals built in-process: [Faultcamp.run ~shard] with the
-   worker's header fields is exactly what [Shard.worker] does, minus the
+(* Shard journals built in-process: [Faultcamp.campaign] under the
+   shard's config is exactly what [Shard.worker] does, minus the
    process, so merge tests don't need to spawn anything. *)
-let shard_config ~dir ~shards case =
-  {
-    (Shard.default_config ~case ~dir ~worker_exe:"/bin/true") with
-    Shard.seed = 4;
-    faults = 6;
-    shards;
-  }
+let shard_config ?(campaign = seed4) ~dir ~shards case =
+  { (Shard.default_config ~case ~dir ~worker_exe:"/bin/true") with
+    Shard.campaign; shards }
 
 let write_shard_journals (cfg : Shard.config) ~baseline =
   List.init cfg.Shard.shards (fun i ->
       let path = Shard.journal_path cfg i in
       ignore
-        (Faultcamp.run ~seed:cfg.Shard.seed ~faults:cfg.Shard.faults
-           ~journal_path:path
-           ~shard:(i, cfg.Shard.shards)
-           ~baseline
-           ~header_extra:
-             [
-               ("shard", Journal.Int i);
-               ("shards", Journal.Int cfg.Shard.shards);
-             ]
+        (Faultcamp.campaign ~journal_path:path
+           {
+             cfg.Shard.campaign with
+             baseline = Some baseline;
+             shard = Some (i, cfg.Shard.shards);
+           }
            cfg.Shard.case);
       path)
 
@@ -462,7 +467,7 @@ let test_shard_merge_sigint_leaves_journals_intact () =
   with_temp_dir (fun dir ->
       let case = vecadd_case () in
       let cfg = shard_config ~dir ~shards:2 case in
-      let plan, baseline = Faultcamp.prepare ~seed:4 ~faults:6 case in
+      let plan, baseline = Faultcamp.prepare seed4 case in
       let paths = write_shard_journals cfg ~baseline in
       let before = List.map (fun p -> (p, Journal.load p)) paths in
       let tok = Budget.token () in
@@ -490,16 +495,16 @@ let test_shard_merge_rejects_foreign_journal () =
   with_temp_dir (fun dir ->
       let case = vecadd_case () in
       let cfg = shard_config ~dir ~shards:2 case in
-      let plan, baseline = Faultcamp.prepare ~seed:4 ~faults:6 case in
+      let plan, baseline = Faultcamp.prepare seed4 case in
       let paths = write_shard_journals cfg ~baseline in
       (* A journal from a different campaign (other seed) in the merge
          list: named rejection, not a silently mixed report. *)
       let foreign = Filename.concat dir "foreign.jsonl" in
-      let _, foreign_baseline = Faultcamp.prepare ~seed:9 ~faults:6 case in
+      let seed9 = { seed4 with seed = 9 } in
+      let _, foreign_baseline = Faultcamp.prepare seed9 case in
       ignore
-        (Faultcamp.run ~seed:9 ~faults:6 ~journal_path:foreign ~shard:(0, 2)
-           ~baseline:foreign_baseline
-           ~header_extra:[ ("shard", Journal.Int 0); ("shards", Journal.Int 2) ]
+        (Faultcamp.campaign ~journal_path:foreign
+           { seed9 with baseline = Some foreign_baseline; shard = Some (0, 2) }
            case);
       check_bool "foreign journal named in the diagnostic" true
         (try
@@ -521,7 +526,7 @@ let test_shard_merge_truncated_journal_degrades () =
   with_temp_dir (fun dir ->
       let case = vecadd_case () in
       let cfg = shard_config ~dir ~shards:2 case in
-      let plan, baseline = Faultcamp.prepare ~seed:4 ~faults:6 case in
+      let plan, baseline = Faultcamp.prepare seed4 case in
       let paths = write_shard_journals cfg ~baseline in
       (* Tear shard 1's journal mid-record — the crash-mid-write shape.
          The torn line drops, the lost tasks come back as cancelled, and
@@ -564,6 +569,146 @@ let test_shard_merge_truncated_journal_degrades () =
         (contains "INTERRUPTED"
            (Report.campaign_to_string ~verbose:true merged)))
 
+let test_shard_merge_rejects_other_parameters () =
+  (* Shard journals agreeing on workload, seed and faults but run under
+     another cycle factor are a different campaign: the merge must name
+     them foreign, not report them under this campaign's parameters. *)
+  with_temp_dir (fun dir ->
+      let case = vecadd_case () in
+      let cfg = shard_config ~dir ~shards:2 case in
+      let plan, baseline = Faultcamp.prepare seed4 case in
+      let paths =
+        write_shard_journals
+          { cfg with Shard.campaign = { seed4 with max_cycles_factor = 1 } }
+          ~baseline
+      in
+      check_bool "other cycle factor rejected as foreign" true
+        (try
+           ignore (Shard.merge_journals cfg ~baseline ~plan paths);
+           false
+         with Failure msg ->
+           contains "foreign shard journal" msg
+           && contains "max_cycles_factor" msg))
+
+let test_shard_journal_resume_stays_in_slice () =
+  (* The shard identity is part of the config the header records, so
+     resuming a stopped shard journal executes only that shard's slice
+     and the journal still merges. *)
+  with_temp_dir (fun dir ->
+      let case = vecadd_case () in
+      let cfg = shard_config ~dir ~shards:2 case in
+      let plan, baseline = Faultcamp.prepare seed4 case in
+      let paths = write_shard_journals cfg ~baseline in
+      let path = List.hd paths in
+      ignore
+        (Faultcamp.campaign ~journal_path:path ~stop_after:1
+           { seed4 with baseline = Some baseline; shard = Some (0, 2) }
+           case);
+      ignore (Faultcamp.resume path);
+      let lo, hi = Faultcamp.shard_slice ~shards:2 ~plan 0 in
+      check_bool "resumed journal holds only in-slice tasks" true
+        (List.for_all
+           (fun e ->
+             match Journal.find_int e "task" with
+             | Some t -> t >= lo && t < hi
+             | None -> true)
+           (snd (Faultcamp.load_journal path)));
+      check_string "resumed shard still merges byte-identically"
+        (Report.campaign_to_string ~verbose:true
+           (Faultcamp.run ~seed:4 ~faults:6 case))
+        (Report.campaign_to_string ~verbose:true
+           (Shard.merge_journals cfg ~baseline ~plan paths)))
+
+(* --- qcheck: any shard count merges byte-identically ---------------------- *)
+
+let prop_shard_merge_any_count =
+  QCheck2.Test.make ~name:"shard merge identical at any shard count" ~count:15
+    QCheck2.Gen.(triple (int_range 1 1000) (int_range 0 12) (int_range 1 5))
+    (fun (seed, faults, shards) ->
+      with_temp_dir (fun dir ->
+          let case = vecadd_case () in
+          let campaign = { Faultcamp.default_config with seed; faults } in
+          let cfg = shard_config ~campaign ~dir ~shards case in
+          let plan, baseline = Faultcamp.prepare campaign case in
+          let paths = write_shard_journals cfg ~baseline in
+          Report.campaign_to_string ~verbose:true
+            (Shard.merge_journals cfg ~baseline ~plan paths)
+          = Report.campaign_to_string ~verbose:true
+              (Faultcamp.run ~seed ~faults case)))
+
+(* --- the journal header is the config ------------------------------------ *)
+
+let test_header_round_trips () =
+  let _, baseline = Faultcamp.prepare seed4 (vecadd_case ()) in
+  List.iter
+    (fun (name, config) ->
+      check_bool name true
+        (Faultcamp.header_of_obj
+           (Faultcamp.header_obj ~workload:"vecadd" config)
+        = Some ("vecadd", config)))
+    [
+      ("default config round-trips", Faultcamp.default_config);
+      ( "profile, baseline and shard round-trip",
+        {
+          seed4 with
+          backend = Faultcamp.Auto;
+          deadline_seconds = 0.1234567;
+          deadline_profile = [ ("bit-flip", 0.5); ("mem-corrupt", 0.1234567) ];
+          baseline = Some baseline;
+          shard = Some (1, 3);
+        } );
+    ];
+  (* Worker argv and profiles render seconds this way: short where "%g"
+     is exact, every bit kept where it is not. *)
+  check_string "exact seconds stay short" "0.05"
+    (Budget.seconds_to_string 0.05);
+  check_bool "inexact seconds keep every bit" true
+    (float_of_string (Budget.seconds_to_string 0.1234567) = 0.1234567)
+
+let test_header_before_compiled_backend_loads () =
+  (* The five keys every journal has carried since the first: the rest
+     take their defaults, and the backend is the interpreter. *)
+  let legacy =
+    [
+      ("journal", Journal.String "faultcamp");
+      ("workload", Journal.String "gcd8");
+      ("seed", Journal.Int 3);
+      ("faults", Journal.Int 7);
+      ("max_cycles_factor", Journal.Int 5);
+    ]
+  in
+  check_bool "five-key header loads with the defaults" true
+    (Faultcamp.header_of_obj legacy
+    = Some
+        ( "gcd8",
+          {
+            Faultcamp.default_config with
+            seed = 3;
+            faults = 7;
+            max_cycles_factor = 5;
+            backend = Faultcamp.Interp;
+          } ))
+
+let test_header_line_pinned () =
+  (* Recorded from `fpgatest campaign -w gcd8 -n 5 --seed 1 --journal F`
+     before the header became the config record: same keys, same order,
+     same bytes. *)
+  let pinned =
+    {|{"journal":"faultcamp","version":1,"workload":"gcd8","seed":1,"faults":5,"max_cycles_factor":4,"deadline_seconds":60,"slice_cycles":5000,"max_retries":2,"backoff_seconds":0.050000000000000003,"backend":"auto","clean_cycles":156,"clean_oob":0,"baseline":"c6650f642eccf31e"}|}
+  in
+  with_temp_file (fun path ->
+      ignore
+        (Faultcamp.campaign ~journal_path:path
+           {
+             Faultcamp.default_config with
+             faults = 5;
+             backend = Faultcamp.Auto;
+           }
+           (gcd8_case ()));
+      check_string "gcd8 header line" pinned
+        (In_channel.with_open_text path In_channel.input_line
+        |> Option.value ~default:""))
+
 (* --- journal compaction -------------------------------------------------- *)
 
 let copy_file src dst =
@@ -582,7 +727,7 @@ let test_compaction_round_trip () =
       let case = vecadd_case () in
       let path = Filename.concat dir "campaign.jsonl" in
       ignore
-        (Faultcamp.run ~seed:4 ~faults:6 ~journal_path:path ~stop_after:2 case);
+        (Faultcamp.campaign ~journal_path:path ~stop_after:2 seed4 case);
       (* Worker leftovers: heartbeat lines and a re-executed (duplicate)
          task entry, appended after the status footer. *)
       let entries =
@@ -621,7 +766,7 @@ let test_compaction_round_trip () =
 
 let test_baseline_checkpoint_accept_and_reject () =
   let case = vecadd_case () in
-  let _, baseline = Faultcamp.prepare ~seed:4 ~faults:6 case in
+  let _, baseline = Faultcamp.prepare seed4 case in
   check_bool "wire spelling round-trips" true
     (Faultcamp.baseline_of_string (Faultcamp.baseline_to_string baseline)
     = Some baseline);
@@ -629,7 +774,9 @@ let test_baseline_checkpoint_accept_and_reject () =
     (Faultcamp.baseline_of_string "not:a:baseline:at:all" = None);
   (* A matching checkpoint skips the clean hardware run but must change
      nothing about the report. *)
-  let with_baseline = Faultcamp.run ~seed:4 ~faults:6 ~baseline case in
+  let with_baseline =
+    Faultcamp.campaign { seed4 with baseline = Some baseline } case
+  in
   let without = Faultcamp.run ~seed:4 ~faults:6 case in
   check_string "baseline-checkpointed report identical"
     (Report.campaign_to_string ~verbose:true without)
@@ -639,7 +786,7 @@ let test_baseline_checkpoint_accept_and_reject () =
   let stale = { baseline with Faultcamp.b_hash = "deadbeef" } in
   check_bool "mismatched hash rejected in one line" true
     (try
-       ignore (Faultcamp.run ~seed:4 ~faults:6 ~baseline:stale case);
+       ignore (Faultcamp.campaign { seed4 with baseline = Some stale } case);
        false
      with Failure msg ->
        contains "baseline hash mismatch" msg
@@ -652,16 +799,24 @@ let test_deadline_profile_validated_and_journaled () =
   check_bool "unknown class rejected up front" true
     (try
        ignore
-         (Faultcamp.run ~seed:1 ~faults:2
-            ~deadline_profile:[ ("nosuch", 1.) ]
+         (Faultcamp.campaign
+            {
+              Faultcamp.default_config with
+              faults = 2;
+              deadline_profile = [ ("nosuch", 1.) ];
+            }
             case);
        false
      with Invalid_argument msg -> contains "unknown fault class" msg);
   check_bool "negative seconds rejected up front" true
     (try
        ignore
-         (Faultcamp.run ~seed:1 ~faults:2
-            ~deadline_profile:[ ("bit-flip", -1.) ]
+         (Faultcamp.campaign
+            {
+              Faultcamp.default_config with
+              faults = 2;
+              deadline_profile = [ ("bit-flip", -1.) ];
+            }
             case);
        false
      with Invalid_argument _ -> true);
@@ -670,11 +825,12 @@ let test_deadline_profile_validated_and_journaled () =
   with_temp_file (fun path ->
       let profile = [ ("bit-flip", 0.5); ("mem-corrupt", 2.) ] in
       ignore
-        (Faultcamp.run ~seed:4 ~faults:6 ~deadline_profile:profile
-           ~journal_path:path case);
-      let header, _ = Faultcamp.load_journal path in
+        (Faultcamp.campaign ~journal_path:path
+           { seed4 with deadline_profile = profile }
+           case);
+      let (_, header), _ = Faultcamp.load_journal path in
       check_bool "profile round-trips through the header" true
-        (header.Faultcamp.h_deadline_profile = profile))
+        (header.Faultcamp.deadline_profile = profile))
 
 (* --- suite resilience ---------------------------------------------------- *)
 
@@ -778,6 +934,15 @@ let suite =
       test_shard_merge_rejects_foreign_journal;
     Alcotest.test_case "shard merge survives truncated journal" `Quick
       test_shard_merge_truncated_journal_degrades;
+    Alcotest.test_case "shard merge rejects other parameters" `Quick
+      test_shard_merge_rejects_other_parameters;
+    Alcotest.test_case "shard journal resume stays in slice" `Quick
+      test_shard_journal_resume_stays_in_slice;
+    QCheck_alcotest.to_alcotest prop_shard_merge_any_count;
+    Alcotest.test_case "header round trips" `Quick test_header_round_trips;
+    Alcotest.test_case "header before compiled backend loads" `Quick
+      test_header_before_compiled_backend_loads;
+    Alcotest.test_case "header line pinned" `Quick test_header_line_pinned;
     Alcotest.test_case "compaction round trip" `Quick
       test_compaction_round_trip;
     Alcotest.test_case "baseline checkpoint accept and reject" `Quick

@@ -154,7 +154,7 @@ let test_worker_args_wire_format () =
           chaos = Some 2;
         }
       in
-      let _, baseline = Faultcamp.prepare ~seed:1 ~faults:25 (gcd8_case ()) in
+      let _, baseline = Faultcamp.prepare cfg.Shard.campaign (gcd8_case ()) in
       let args =
         Shard.worker_args cfg ~baseline ~shard:1
           ~chaos_exec:(Some (Chaos.Kill_after 2))
@@ -222,6 +222,15 @@ let test_cli_rejects_misuse () =
           [ "--shards"; "0" ];
           [ "--deadline-profile"; "nosuch=1" ];
           [ "--worker" ];
+          [ "--max-cycles-factor"; "0" ];
+          [ "--slice"; "0" ];
+          [ "--retries=-1" ];
+          [ "--backoff=-1" ];
+          [ "--deadline=-1" ];
+          (* Coordinator knobs are read, and so checked, under --shards. *)
+          [ "--shards"; "2"; "--watchdog"; "0" ];
+          [ "--shards"; "2"; "--respawn-backoff=-1" ];
+          [ "--shards"; "2"; "--slice"; "0" ];
         ])
 
 (* --- end-to-end coordinator runs ----------------------------------------- *)
@@ -229,10 +238,8 @@ let test_cli_rejects_misuse () =
 let coordinator_config ?chaos ~dir ~shards case =
   {
     (Shard.default_config ~case ~dir ~worker_exe:(fpgatest_exe ())) with
-    Shard.seed = 5;
-    faults = 12;
+    Shard.campaign = { Faultcamp.default_config with seed = 5; faults = 12 };
     shards;
-    backend = Faultcamp.Interp;
     watchdog_seconds = 2.;
     respawn_backoff_seconds = 0.05;
     chaos;
@@ -296,8 +303,7 @@ let test_quarantine_degrades_to_partial_report () =
           (Shard.default_config ~case:(vecadd_case ()) ~dir
              ~worker_exe:"/bin/false")
           with
-          Shard.seed = 1;
-          faults = 6;
+          Shard.campaign = { Faultcamp.default_config with faults = 6 };
           shards = 2;
           watchdog_seconds = 2.;
           respawn_backoff_seconds = 0.01;
