@@ -1,20 +1,21 @@
 module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
-module Guard = Fsmkit.Guard
+module Fsm_index = Fsmkit.Fsm_index
 module Opspec = Operators.Opspec
 module Memory = Operators.Memory
 
 exception Combinational_cycle of string
 
 type t = {
-  fsm : Fsm.t;
+  index : Fsm_index.t;
   cells : (string, Bitvec.t ref) Hashtbl.t;  (* "inst.port" / "ctl.name" *)
   comb : (unit -> unit) array;  (* evaluation closures, topo order *)
   latch : (unit -> unit) array;  (* phase 1: compute pending values *)
   commit : (unit -> unit) array;  (* phase 2: apply pending values *)
-  statuses : (string * Bitvec.t ref) list;
-  controls : (string * Bitvec.t ref) list;
-  mutable state : Fsm.state;
+  read : int -> int;  (* current value of FSM input i's status cell *)
+  controls : Bitvec.t ref array;  (* per FSM output *)
+  values : Bitvec.t array array;  (* per state: each control's value *)
+  mutable state : int;
   mutable n_cycles : int;
   mutable n_check_failures : int;
   mutable stop_fired : bool;
@@ -327,14 +328,16 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   (* FSM wiring: controls driven from the Moore decode, statuses read from
      the datapath cells. *)
   let fsm_controls =
-    List.map
-      (fun (o : Fsm.io) ->
-        match List.assoc_opt o.Fsm.io_name controls with
-        | Some c -> (o.Fsm.io_name, c, o.Fsm.io_width)
-        | None ->
-            failwith
-              (Printf.sprintf "cyclesim: design has no control %S" o.Fsm.io_name))
-      fsm.Fsm.outputs
+    Array.of_list
+      (List.map
+         (fun (o : Fsm.io) ->
+           match List.assoc_opt o.Fsm.io_name controls with
+           | Some c -> c
+           | None ->
+               failwith
+                 (Printf.sprintf "cyclesim: design has no control %S"
+                    o.Fsm.io_name))
+         fsm.Fsm.outputs)
   in
   let statuses =
     List.map
@@ -342,23 +345,32 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
         (st.Dp.st_name, Hashtbl.find cells (Dp.endpoint_to_string st.Dp.st_source)))
       dp.Dp.statuses
   in
-  List.iter
-    (fun (i : Fsm.io) ->
-      if not (List.mem_assoc i.Fsm.io_name statuses) then
-        failwith
-          (Printf.sprintf "cyclesim: design has no status %S" i.Fsm.io_name))
-    fsm.Fsm.inputs;
-  let initial = Option.get (Fsm.find_state fsm fsm.Fsm.initial) in
+  let status_cells =
+    Array.of_list
+      (List.map
+         (fun (i : Fsm.io) ->
+           match List.assoc_opt i.Fsm.io_name statuses with
+           | Some c -> c
+           | None ->
+               failwith
+                 (Printf.sprintf "cyclesim: design has no status %S"
+                    i.Fsm.io_name))
+         fsm.Fsm.inputs)
+  in
+  let index = Fsm_index.create fsm in
   let t =
     {
-      fsm;
+      index;
       cells;
       comb;
       latch = Array.of_list (List.rev !latches);
       commit = Array.of_list (List.rev !commits);
-      statuses;
-      controls = List.map (fun (n, c, _) -> (n, c)) fsm_controls;
-      state = initial;
+      read = (fun i -> Bitvec.to_int !(status_cells.(i)));
+      controls = fsm_controls;
+      values =
+        Fsm_index.vectors index
+          ~widths:(Array.map (fun c -> Bitvec.width !c) fsm_controls);
+      state = Fsm_index.initial index;
       n_cycles = 0;
       n_check_failures = 0;
       stop_fired = false;
@@ -367,40 +379,24 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   t_ref := Some t;
   t
 
-let drive_controls t =
-  List.iter
-    (fun (name, c) ->
-      let value = Fsm.output_in_state t.fsm t.state name in
-      c := Bitvec.create ~width:(Bitvec.width !c) value)
-    t.controls
-
 let step t =
   t.n_cycles <- t.n_cycles + 1;
   (* Phase 1: Moore outputs of the current state + full comb settle. *)
-  drive_controls t;
+  let values = t.values.(t.state) in
+  for o = 0 to Array.length t.controls - 1 do
+    t.controls.(o) := values.(o)
+  done;
   Array.iter (fun f -> f ()) t.comb;
   (* Phase 2: next state from settled statuses. *)
-  let lookup name =
-    match List.assoc_opt name t.statuses with
-    | Some c -> Bitvec.to_int !c
-    | None -> failwith ("cyclesim: unknown status " ^ name)
-  in
-  let rec first_match = function
-    | [] -> t.state
-    | (tr : Fsm.transition) :: rest ->
-        if Guard.eval tr.Fsm.guard lookup then
-          Option.get (Fsm.find_state t.fsm tr.Fsm.target)
-        else first_match rest
-  in
-  let next = first_match t.state.Fsm.transitions in
+  let next = Fsm_index.next t.index t.state t.read in
   (* Phase 3: latch sequential elements (reads), then commit (writes). *)
   Array.iter (fun f -> f ()) t.latch;
   Array.iter (fun f -> f ()) t.commit;
   t.state <- next
 
 let cycles t = t.n_cycles
-let current_state t = t.state.Fsm.sname
-let in_done_state t = t.state.Fsm.is_done
+let current_state t = (Fsm_index.state t.index t.state).Fsm.sname
+let in_done_state t = Fsm_index.is_done t.index t.state
 let check_failures t = t.n_check_failures
 
 let port_value t key =

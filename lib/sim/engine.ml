@@ -1,14 +1,29 @@
 exception Combinational_loop of string
 exception Drive_conflict of string
 
+(* Growable array: the first [len] slots of [items] are live. *)
+type 'a vec = { mutable items : 'a array; mutable len : int }
+
+let vec () = { items = [||]; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.items then begin
+    let items = Array.make (max 8 (2 * v.len)) x in
+    Array.blit v.items 0 items 0 v.len;
+    v.items <- items
+  end;
+  v.items.(v.len) <- x;
+  v.len <- v.len + 1
+
 type signal = {
   sid : int;
   sname : string;
   swidth : int;
   mutable cur : Bitvec.t;
-  mutable staged : Bitvec.t option;  (* assignment staged for the next delta *)
-  mutable sensitive : process list;  (* in registration order, reversed *)
-  mutable hooks : (unit -> unit) list;  (* on_change callbacks, reversed *)
+  mutable staged : Bitvec.t;  (* next-delta assignment, valid when [is_staged] *)
+  mutable is_staged : bool;
+  sensitive : process vec;  (* registration order *)
+  mutable hooks : (unit -> unit) list;  (* on_change callbacks, registration order *)
   mutable corrupt : (Bitvec.t -> Bitvec.t) option;
       (* fault-injection transform applied to every committed value *)
 }
@@ -17,7 +32,7 @@ and process = {
   pid : int;
   pname : string;
   body : unit -> unit;
-  mutable queued : bool;
+  mutable queued : bool;  (* in the run set or queued for the next delta *)
 }
 
 type event = Assign of signal * Bitvec.t | Activate of process
@@ -36,15 +51,25 @@ type stats = {
   drive_collisions : int;
 }
 
+(* The run queue is a pair of bitsets over pids, [Sys.int_size] pids per
+   word: [run] holds the processes of the delta being executed and is
+   scanned in ascending pid order; [next] collects activations for the
+   following delta. They swap at every delta. *)
+let word_bits = Sys.int_size
+
 type t = {
   heap : event Event_heap.t;
   strict : bool;
   max_deltas : int;
   mutable time : int;
   mutable next_sid : int;
-  mutable next_pid : int;
-  mutable delta_signals : signal list;  (* signals with a staged value, reversed *)
-  mutable delta_procs : process list;  (* activations for the next delta, reversed *)
+  procs : process vec;  (* pid -> process *)
+  mutable run : int array;
+  mutable next : int array;
+  mutable n_run : int;  (* bits set in [run] *)
+  mutable n_next : int;  (* bits set in [next] *)
+  to_commit : signal vec;  (* signals with a staged value, in staging order *)
+  changed : signal vec;  (* this delta's changed signals that have hooks *)
   mutable stop : string option;
   mutable n_events : int;
   mutable n_activations : int;
@@ -60,9 +85,13 @@ let create ?(strict_drivers = false) ?(max_deltas = 10_000) () =
     max_deltas;
     time = 0;
     next_sid = 0;
-    next_pid = 0;
-    delta_signals = [];
-    delta_procs = [];
+    procs = vec ();
+    run = [||];
+    next = [||];
+    n_run = 0;
+    n_next = 0;
+    to_commit = vec ();
+    changed = vec ();
     stop = None;
     n_events = 0;
     n_activations = 0;
@@ -90,8 +119,9 @@ let signal t ~name ?initial width =
       sname = name;
       swidth = width;
       cur = initial;
-      staged = None;
-      sensitive = [];
+      staged = initial;
+      is_staged = false;
+      sensitive = vec ();
       hooks = [];
       corrupt = None;
     }
@@ -126,16 +156,19 @@ let clear_corruption s = s.corrupt <- None
 
 let stage t s v =
   let v = apply_corruption s v in
-  (match s.staged with
-  | Some _ ->
-      t.n_collisions <- t.n_collisions + 1;
-      if t.strict then
-        raise
-          (Drive_conflict
-             (Printf.sprintf "signal %s driven twice in one delta at t=%d"
-                s.sname t.time))
-  | None -> t.delta_signals <- s :: t.delta_signals);
-  s.staged <- Some v
+  if s.is_staged then begin
+    t.n_collisions <- t.n_collisions + 1;
+    if t.strict then
+      raise
+        (Drive_conflict
+           (Printf.sprintf "signal %s driven twice in one delta at t=%d"
+              s.sname t.time))
+  end
+  else begin
+    s.is_staged <- true;
+    push t.to_commit s
+  end;
+  s.staged <- v
 
 let drive t s ?(delay = 0) v =
   if delay < 0 then invalid_arg "Engine.drive: negative delay";
@@ -151,24 +184,51 @@ let force _t s v =
     invalid_arg (Printf.sprintf "Engine.force %s: width mismatch" s.sname);
   s.cur <- apply_corruption s v
 
-let on_change _t s f = s.hooks <- f :: s.hooks
+let on_change _t s f = s.hooks <- s.hooks @ [ f ]
 
+let set_bit bits pid =
+  let w = pid / word_bits in
+  bits.(w) <- bits.(w) lor (1 lsl (pid - (w * word_bits)))
+
+(* Index of the lowest set bit of a nonzero word. *)
+let lowest_bit w =
+  let w = ref (w land -w) and n = ref 0 in
+  if !w land 0xFFFF_FFFF = 0 then (n := 32; w := !w lsr 32);
+  if !w land 0xFFFF = 0 then (n := !n + 16; w := !w lsr 16);
+  if !w land 0xFF = 0 then (n := !n + 8; w := !w lsr 8);
+  if !w land 0xF = 0 then (n := !n + 4; w := !w lsr 4);
+  if !w land 0x3 = 0 then (n := !n + 2; w := !w lsr 2);
+  if !w land 0x1 = 0 then incr n;
+  !n
+
+(* Queue for the next delta. *)
 let queue_process t p =
   if not p.queued then begin
     p.queued <- true;
-    t.delta_procs <- p :: t.delta_procs
+    set_bit t.next p.pid;
+    t.n_next <- t.n_next + 1
   end
 
 let process t ~name ?(sensitivity = []) body =
-  let p = { pid = t.next_pid; pname = name; body; queued = false } in
-  t.next_pid <- t.next_pid + 1;
-  List.iter (fun s -> s.sensitive <- p :: s.sensitive) sensitivity;
+  let p = { pid = t.procs.len; pname = name; body; queued = false } in
+  push t.procs p;
+  let words = (t.procs.len + word_bits - 1) / word_bits in
+  if words > Array.length t.run then begin
+    let grow bits =
+      let b = Array.make (max 1 (2 * Array.length bits)) 0 in
+      Array.blit bits 0 b 0 (Array.length bits);
+      b
+    in
+    t.run <- grow t.run;
+    t.next <- grow t.next
+  end;
+  List.iter (fun s -> push s.sensitive p) sensitivity;
   (* Initialization pass: every process runs once when simulation reaches
      the current time, mirroring VHDL elaboration. *)
   queue_process t p;
   p
 
-let add_sensitivity p s = s.sensitive <- p :: s.sensitive
+let add_sensitivity p s = push s.sensitive p
 
 let wake_at t p ~delay =
   if delay < 0 then invalid_arg "Engine.wake_at: negative delay";
@@ -186,73 +246,90 @@ let on_rising_edge t ~clock ~name body =
 
 let request_stop t reason = if t.stop = None then t.stop <- Some reason
 
+let pending t = t.to_commit.len > 0 || t.n_next > 0
+
+let no_convergence t =
+  (* The most recently staged signals, newest first. *)
+  let last =
+    List.init (min 5 t.to_commit.len) (fun i ->
+        t.to_commit.items.(t.to_commit.len - 1 - i).sname)
+  in
+  Combinational_loop
+    (Printf.sprintf
+       "no convergence after %d delta cycles at t=%d (last signals: %s)"
+       t.max_deltas t.time (String.concat ", " last))
+
+(* Phase 1 of a delta: commit the staged assignments in staging order and
+   add every process sensitive to a changed signal to the run set. *)
+let commit_staged t =
+  let to_commit = t.to_commit in
+  for i = 0 to to_commit.len - 1 do
+    let s = to_commit.items.(i) in
+    s.is_staged <- false;
+    t.n_events <- t.n_events + 1;
+    if not (Bitvec.equal s.cur s.staged) then begin
+      s.cur <- s.staged;
+      let sensitive = s.sensitive in
+      for j = 0 to sensitive.len - 1 do
+        let p = sensitive.items.(j) in
+        if not p.queued then begin
+          p.queued <- true;
+          set_bit t.run p.pid;
+          t.n_run <- t.n_run + 1
+        end
+      done;
+      if s.hooks <> [] then push t.changed s
+    end
+  done;
+  to_commit.len <- 0
+
+(* Phase 2: run the run set in ascending pid order. Zero-delay drives and
+   wake-ups made by the bodies go to the next delta. *)
+let run_processes t =
+  let w = ref 0 in
+  while t.n_run > 0 do
+    let bits = t.run.(!w) in
+    if bits = 0 then incr w
+    else begin
+      t.run.(!w) <- bits land (bits - 1);
+      t.n_run <- t.n_run - 1;
+      let p = t.procs.items.((!w * word_bits) + lowest_bit bits) in
+      p.queued <- false;
+      t.n_activations <- t.n_activations + 1;
+      p.body ()
+    end
+  done
+
 (* Execute every delta cycle of the current time point. *)
 let run_time_point t max_events =
   t.n_time_points <- t.n_time_points + 1;
   let deltas_here = ref 0 in
-  let rec delta () =
-    if t.delta_signals = [] && t.delta_procs = [] then ()
-    else begin
-      incr deltas_here;
-      t.n_deltas <- t.n_deltas + 1;
-      if !deltas_here > t.max_deltas then
-        raise
-          (Combinational_loop
-             (Printf.sprintf
-                "no convergence after %d delta cycles at t=%d (last signals: %s)"
-                t.max_deltas t.time
-                (String.concat ", "
-                   (List.filteri (fun i _ -> i < 5)
-                      (List.map (fun s -> s.sname) t.delta_signals)))));
-      let signals = List.rev t.delta_signals in
-      let procs = List.rev t.delta_procs in
-      t.delta_signals <- [];
-      t.delta_procs <- [];
-      (* Phase 1: apply assignments, find changes, wake + notify. *)
-      let to_run = ref [] in
-      let changed_hooks = ref [] in
-      List.iter
-        (fun s ->
-          match s.staged with
-          | None -> ()
-          | Some v ->
-              s.staged <- None;
-              t.n_events <- t.n_events + 1;
-              if not (Bitvec.equal s.cur v) then begin
-                s.cur <- v;
-                List.iter
-                  (fun p ->
-                    if not p.queued then begin
-                      p.queued <- true;
-                      to_run := p :: !to_run
-                    end)
-                  (List.rev s.sensitive);
-                if s.hooks <> [] then changed_hooks := s :: !changed_hooks
-              end)
-        signals;
-      (* Explicit activations join the run set after signal wake-ups. *)
-      List.iter
-        (fun p ->
-          (* queued was set when the activation was enqueued *)
-          to_run := p :: !to_run)
-        procs;
-      List.iter (fun s -> List.iter (fun f -> f ()) (List.rev s.hooks))
-        (List.rev !changed_hooks);
-      (* Phase 2: run processes; their zero-delay drives feed the next
-         delta via [delta_signals] / [delta_procs]. *)
-      let run_list = List.sort (fun a b -> compare a.pid b.pid) !to_run in
-      List.iter
-        (fun p ->
-          p.queued <- false;
-          t.n_activations <- t.n_activations + 1;
-          p.body ())
-        run_list;
-      (* A requested stop still lets the current time point settle (all
-         remaining deltas run); the outer loop honours it afterwards. *)
-      if t.n_events < max_events then delta ()
-    end
-  in
-  delta ()
+  while pending t && (!deltas_here = 0 || t.n_events < max_events) do
+    incr deltas_here;
+    t.n_deltas <- t.n_deltas + 1;
+    if !deltas_here > t.max_deltas then raise (no_convergence t);
+    (* The activations queued last delta form this delta's run set. The
+       previous run set was drained by its scan unless a process body
+       raised; its unscanned processes then stay flagged as queued and
+       never run again. *)
+    let drained = t.run in
+    if t.n_run > 0 then Array.fill drained 0 (Array.length drained) 0;
+    t.run <- t.next;
+    t.n_run <- t.n_next;
+    t.next <- drained;
+    t.n_next <- 0;
+    commit_staged t;
+    (* Hooks run after the wake-ups, in commit order. *)
+    let changed = t.changed in
+    let n = changed.len in
+    changed.len <- 0;
+    for i = 0 to n - 1 do
+      List.iter (fun f -> f ()) changed.items.(i).hooks
+    done;
+    run_processes t
+    (* A requested stop still lets the current time point settle (all
+       remaining deltas run); the outer loop honours it afterwards. *)
+  done
 
 let drain_due_events t =
   let due = Event_heap.pop_at t.heap t.time in
@@ -270,7 +347,7 @@ let run ?(max_time = max_int) ?(max_events = max_int) t =
         Stop_requested reason
     | None ->
         if t.n_events >= max_events then Max_events_reached
-        else if t.delta_signals <> [] || t.delta_procs <> [] then begin
+        else if pending t then begin
           run_time_point t max_events;
           loop ()
         end

@@ -15,7 +15,19 @@
 
     Determinism: processes run in creation order within a delta; multiple
     drives to the same signal within one delta take the last write (a
-    diagnostic counter records such collisions). *)
+    diagnostic counter records such collisions).
+
+    Implementation: a delta allocates nothing. A drive stores its value
+    in the signal and flags it, appending the signal to a growable array
+    of signals staged for the next delta. Each signal keeps its sensitive
+    processes in a registration-order array. The run queue is a bitset
+    over process ids: committing a changed signal sets the bits of its
+    sensitive processes, and the run phase scans the bitset in ascending
+    id order. Activations requested while a delta runs go to a second
+    bitset, which becomes the run set of the next delta. A process that
+    is already in either set is not added again, so it runs at most once
+    per delta. Only delayed drives and timed wake-ups go through the
+    event heap. *)
 
 type t
 (** A simulation engine instance. *)

@@ -1,127 +1,88 @@
 module Fsm = Fsmkit.Fsm
-module Guard = Fsmkit.Guard
+module Fsm_index = Fsmkit.Fsm_index
 open Sim
 
 type t = {
-  fsm : Fsm.t;
+  index : Fsm_index.t;
   engine : Engine.t;
-  outputs : (string * Engine.signal) list;  (* FSM output -> control signal *)
-  inputs : (string * Engine.signal) list;  (* FSM input -> status signal *)
+  controls : Engine.signal array;  (* per FSM output *)
+  values : Bitvec.t array array;  (* per state: each control's value *)
   state_sig : Engine.signal;
-  state_index : (string * int) list;
-  mutable state : Fsm.state;
+  state_values : Bitvec.t array;  (* per state: its index on [state_sig] *)
+  read : int -> int;  (* current value of FSM input i's status signal *)
+  mutable state : int;
   mutable transitions : int;
   mutable cycles : int;
   mutable done_hooks : (unit -> unit) list;  (* reversed *)
 }
 
 let drive_state_outputs t =
-  List.iter
-    (fun (name, signal) ->
-      let value = Fsm.output_in_state t.fsm t.state name in
-      Engine.drive t.engine signal
-        (Bitvec.create ~width:(Engine.width signal) value))
-    t.outputs;
-  Engine.drive t.engine t.state_sig
-    (Bitvec.create
-       ~width:(Engine.width t.state_sig)
-       (List.assoc t.state.Fsm.sname t.state_index))
+  let values = t.values.(t.state) in
+  for o = 0 to Array.length t.controls - 1 do
+    Engine.drive t.engine t.controls.(o) values.(o)
+  done;
+  Engine.drive t.engine t.state_sig t.state_values.(t.state)
 
 let enter t next =
-  let was = t.state.Fsm.sname in
-  t.state <- next;
-  if was <> next.Fsm.sname then begin
+  if next <> t.state then begin
+    t.state <- next;
     t.transitions <- t.transitions + 1;
     drive_state_outputs t;
-    if next.Fsm.is_done then
+    if Fsm_index.is_done t.index next then
       List.iter (fun f -> f ()) (List.rev t.done_hooks)
   end
 
 let step t =
   t.cycles <- t.cycles + 1;
-  let lookup name =
-    match List.assoc_opt name t.inputs with
-    | Some s -> Engine.value_int s
-    | None ->
-        failwith
-          (Printf.sprintf "fsm %s: read of unknown status %S"
-             t.fsm.Fsm.fsm_name name)
-  in
-  let rec first_match = function
-    | [] -> None
-    | (tr : Fsm.transition) :: rest ->
-        if Guard.eval tr.Fsm.guard lookup then Some tr.Fsm.target
-        else first_match rest
-  in
-  match first_match t.state.Fsm.transitions with
-  | None -> ()
-  | Some target -> (
-      match Fsm.find_state t.fsm target with
-      | Some next -> enter t next
-      | None -> assert false (* validated *))
+  enter t (Fsm_index.next t.index t.state t.read)
 
 let attach ?enable ~design fsm =
   Fsm.validate fsm;
   let engine = design.Elaborate.engine in
-  let outputs =
-    List.map
-      (fun (o : Fsm.io) ->
-        let signal =
-          try List.assoc o.Fsm.io_name design.Elaborate.controls
-          with Not_found ->
-            failwith
-              (Printf.sprintf "fsm %s: design has no control %S"
-                 fsm.Fsm.fsm_name o.Fsm.io_name)
-        in
-        if Engine.width signal <> o.Fsm.io_width then
-          failwith
-            (Printf.sprintf "fsm %s: control %s width %d <> %d"
-               fsm.Fsm.fsm_name o.Fsm.io_name (Engine.width signal)
-               o.Fsm.io_width);
-        (o.Fsm.io_name, signal))
-      fsm.Fsm.outputs
+  (* The design signal an FSM port binds to: same name, same width. *)
+  let bind kind signals (io : Fsm.io) =
+    let signal =
+      try List.assoc io.Fsm.io_name signals
+      with Not_found ->
+        failwith
+          (Printf.sprintf "fsm %s: design has no %s %S" fsm.Fsm.fsm_name kind
+             io.Fsm.io_name)
+    in
+    if Engine.width signal <> io.Fsm.io_width then
+      failwith
+        (Printf.sprintf "fsm %s: %s %s width %d <> %d" fsm.Fsm.fsm_name kind
+           io.Fsm.io_name (Engine.width signal) io.Fsm.io_width);
+    signal
   in
-  let inputs =
-    List.map
-      (fun (i : Fsm.io) ->
-        let signal =
-          try List.assoc i.Fsm.io_name design.Elaborate.statuses
-          with Not_found ->
-            failwith
-              (Printf.sprintf "fsm %s: design has no status %S"
-                 fsm.Fsm.fsm_name i.Fsm.io_name)
-        in
-        if Engine.width signal <> i.Fsm.io_width then
-          failwith
-            (Printf.sprintf "fsm %s: status %s width %d <> %d"
-               fsm.Fsm.fsm_name i.Fsm.io_name (Engine.width signal)
-               i.Fsm.io_width);
-        (i.Fsm.io_name, signal))
-      fsm.Fsm.inputs
+  let controls =
+    Array.of_list
+      (List.map (bind "control" design.Elaborate.controls) fsm.Fsm.outputs)
   in
-  let state_index = List.mapi (fun i s -> (s.Fsm.sname, i)) fsm.Fsm.states in
+  let statuses =
+    Array.of_list
+      (List.map (bind "status" design.Elaborate.statuses) fsm.Fsm.inputs)
+  in
+  let index = Fsm_index.create fsm in
   let state_width =
-    let n = List.length fsm.Fsm.states in
+    let n = Fsm_index.state_count index in
     let rec bits v acc = if v = 0 then max acc 1 else bits (v lsr 1) (acc + 1) in
     bits (max 0 (n - 1)) 0
   in
   let state_sig =
     Engine.signal engine ~name:(fsm.Fsm.fsm_name ^ ".state") state_width
   in
-  let initial =
-    match Fsm.find_state fsm fsm.Fsm.initial with
-    | Some s -> s
-    | None -> assert false (* validated *)
-  in
   let t =
     {
-      fsm;
+      index;
       engine;
-      outputs;
-      inputs;
+      controls;
+      values = Fsm_index.vectors index ~widths:(Array.map Engine.width controls);
       state_sig;
-      state_index;
-      state = initial;
+      state_values =
+        Array.init (Fsm_index.state_count index) (fun s ->
+            Bitvec.create ~width:state_width s);
+      read = (fun i -> Engine.value_int statuses.(i));
+      state = Fsm_index.initial index;
       transitions = 0;
       cycles = 0;
       done_hooks = [];
@@ -144,13 +105,10 @@ let attach ?enable ~design fsm =
        ~clock:(Clock.signal design.Elaborate.clock)
        ~name:(fsm.Fsm.fsm_name ^ "-step")
        gated_step);
-  (if initial.Fsm.is_done then
-     (* Degenerate but legal: an FSM that starts done. *)
-     ());
   t
 
-let current_state t = t.state.Fsm.sname
-let in_done_state t = t.state.Fsm.is_done
+let current_state t = (Fsm_index.state t.index t.state).Fsm.sname
+let in_done_state t = Fsm_index.is_done t.index t.state
 let transitions_taken t = t.transitions
 let cycles_seen t = t.cycles
 let on_enter_done t f = t.done_hooks <- f :: t.done_hooks

@@ -15,6 +15,12 @@ val attach :
     input a design status of equal width — [Failure] otherwise), assert the
     initial state's outputs, and register the clocked process.
 
+    Every name is resolved here, once ({!Fsmkit.Fsm_index}): the clocked
+    process only indexes arrays. Validation (FSM010) guarantees every
+    guard reads a declared input and the design check guarantees each
+    input has a status signal, so no status read can fail while
+    simulating.
+
     When [enable] (a 1-bit signal) is given, the machine holds its state
     on edges where it reads 0 — the hold/start interface a host processor
     uses in co-simulation. *)

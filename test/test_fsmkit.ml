@@ -2,6 +2,7 @@
 
 module Guard = Fsmkit.Guard
 module Fsm = Fsmkit.Fsm
+module Fsm_index = Fsmkit.Fsm_index
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -212,6 +213,93 @@ let test_fsm_load_save () =
   check_bool "file round trip" true (fsm = fsm');
   check_str "name preserved" "ctl" fsm'.Fsm.fsm_name
 
+(* --- index ------------------------------------------------------------ *)
+
+(* The controllers of every builtin case under every compiler variant. *)
+let builtin_fsms () =
+  List.concat_map
+    (fun (case : Testinfra.Suite.case) ->
+      let prog = Lang.Parser.parse_string case.Testinfra.Suite.source in
+      List.concat_map
+        (fun (_, options) ->
+          List.map
+            (fun (p : Compiler.Compile.partition) -> p.Compiler.Compile.fsm)
+            (Compiler.Compile.compile ~options prog).Compiler.Compile.partitions)
+        Testinfra.Suite.default_variants)
+    (Testinfra.Suite.builtin_cases ())
+
+(* Every state's position, done flag, output vectors and transition
+   choice under random status values must match the name-based lookups
+   they replace. *)
+let test_index_agrees () =
+  let rng = Random.State.make [| 22 |] in
+  List.iter
+    (fun (fsm : Fsm.t) ->
+      let ix = Fsm_index.create fsm in
+      let name s = (Fsm_index.state ix s).Fsm.sname in
+      let widths =
+        Array.of_list (List.map (fun o -> o.Fsm.io_width) fsm.Fsm.outputs)
+      in
+      let vectors = Fsm_index.vectors ix ~widths in
+      check_str "initial" fsm.Fsm.initial (name (Fsm_index.initial ix));
+      check_int "state count" (Fsm.state_count fsm) (Fsm_index.state_count ix);
+      List.iteri
+        (fun s (st : Fsm.state) ->
+          check_bool "state" true
+            (Fsm.find_state fsm st.Fsm.sname = Some (Fsm_index.state ix s));
+          check_bool "is_done" st.Fsm.is_done (Fsm_index.is_done ix s);
+          List.iteri
+            (fun o (io : Fsm.io) ->
+              check_int io.Fsm.io_name
+                (Fsm.output_in_state fsm st io.Fsm.io_name)
+                (Bitvec.to_int vectors.(s).(o)))
+            fsm.Fsm.outputs;
+          for _ = 1 to 8 do
+            let values =
+              List.map
+                (fun (io : Fsm.io) ->
+                  (io.Fsm.io_name, Random.State.int rng (1 lsl min 30 io.Fsm.io_width)))
+                fsm.Fsm.inputs
+            in
+            let by_name n = List.assoc n values in
+            let by_position i = snd (List.nth values i) in
+            let want =
+              match
+                List.find_opt
+                  (fun (tr : Fsm.transition) -> Guard.eval tr.Fsm.guard by_name)
+                  st.Fsm.transitions
+              with
+              | None -> st.Fsm.sname
+              | Some tr -> (Option.get (Fsm.find_state fsm tr.Fsm.target)).Fsm.sname
+            in
+            check_str "next" want (name (Fsm_index.next ix s by_position))
+          done)
+        fsm.Fsm.states)
+    (builtin_fsms ())
+
+let test_index_rejects_undeclared () =
+  let fsm =
+    {
+      Fsm.fsm_name = "bad";
+      inputs = [];
+      outputs = [];
+      initial = "s0";
+      states =
+        [
+          {
+            Fsm.sname = "s0";
+            is_done = false;
+            settings = [];
+            transitions =
+              [ { Fsm.guard = Guard.parse "go"; target = "s0" } ];
+          };
+        ];
+    }
+  in
+  match Fsm_index.create fsm with
+  | _ -> Alcotest.fail "undeclared guard input accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   [
@@ -234,4 +322,6 @@ let suite =
     ("fsm done unreachable", `Quick, test_fsm_done_unreachable);
     ("fsm guard attribute shape", `Quick, test_fsm_xml_guard_attribute);
     ("fsm load/save", `Quick, test_fsm_load_save);
+    ("index agrees with lookups on builtins", `Quick, test_index_agrees);
+    ("index rejects undeclared names", `Quick, test_index_rejects_undeclared);
   ]

@@ -5,6 +5,7 @@ let () =
       ("xmlkit", Test_xmlkit.suite);
       ("dotkit", Test_dotkit.suite);
       ("sim", Test_sim.suite);
+      ("kernel", Test_kernel.suite);
       ("operators", Test_operators.suite);
       ("netlist", Test_netlist.suite);
       ("fsmkit", Test_fsmkit.suite);
