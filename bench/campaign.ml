@@ -35,7 +35,6 @@ let faults_arg = ref None
 let seed = ref 1
 let jobs_list = ref [ 1; 4 ]
 let backends = ref [ Faultcamp.Interp; Faultcamp.Compiled ]
-let fuzz_n = ref 40
 let out_path = ref "BENCH_faultcamp.json"
 let fpgatest_exe = ref ""
 let shard_faults = 300
@@ -72,8 +71,6 @@ let spec =
     ("-jobs", Arg.String parse_jobs, "J1,J2,... worker counts to measure");
     ("-backends", Arg.String parse_backends,
      "B1,B2,... backends to measure (interp, compiled, auto)");
-    ("-fuzz-n", Arg.Set_int fuzz_n,
-     "N programs for the differential-fuzzing throughput section");
     ("-fpgatest", Arg.Set_string fpgatest_exe,
      "PATH fpgatest binary re-execed as `campaign` shard workers (enables \
       the shard-scaling section)");
@@ -221,29 +218,6 @@ let bench_workload name =
     runs;
   json
 
-(* Differential-fuzzing throughput: how many generated programs per
-   second the four-way oracle sustains (every compilation variant through
-   golden + event + cyclesim + fastsim). Divergences should be zero on a
-   healthy tree; a nonzero count here is a red flag long before the
-   corpus replay fails. *)
-let bench_fuzz () =
-  let stats = Fuzz.Driver.run ~n:!fuzz_n ~seed:!seed () in
-  Printf.printf
-    "fuzz n=%d seed=%d: %.3fs, %.1f programs/s, %d agreed, %d rejected, %d \
-     divergent\n"
-    !fuzz_n !seed stats.Fuzz.Driver.wall_seconds
-    (Fuzz.Driver.programs_per_second stats)
-    stats.Fuzz.Driver.agreed stats.Fuzz.Driver.rejected
-    (List.length stats.Fuzz.Driver.divergences);
-  Printf.sprintf
-    {|  "fuzz": { "programs": %d, "seed": %d,
-    "wall_seconds": %.6f, "programs_per_second": %.3f,
-    "agreed": %d, "rejected": %d, "divergent": %d },|}
-    !fuzz_n !seed stats.Fuzz.Driver.wall_seconds
-    (Fuzz.Driver.programs_per_second stats)
-    stats.Fuzz.Driver.agreed stats.Fuzz.Driver.rejected
-    (List.length stats.Fuzz.Driver.divergences)
-
 (* Shard-scaling and chaos-recovery overhead: the coordinator's cost is
    process spawns, journal polling and the final merge-replay, so wall
    time per shard count against the in-process reference measures
@@ -372,88 +346,15 @@ let bench_shards () =
       (if clean3_wall > 0. then c_wall /. clean3_wall else 0.)
   end
 
-(* Translation-validation throughput: certify every builtin kernel with
-   all three transforming passes enabled (default decide engine) and
-   aggregate validator wall time per pass, plus the engine's per-stage
-   split — normalize / bit-blast / SAT-solve — from the {!Ec.Term.Stats}
-   accumulator. The verdict counts double as a health check — a refuted
-   or inconclusive certificate on a builtin kernel is a regression the
-   tv test suite will also catch, but the benchmark surfaces it in the
-   perf record too. *)
-let bench_tv () =
-  let totals = Hashtbl.create 3 in
-  let bump pass seconds ok =
-    let t, n, bad =
-      Option.value ~default:(0., 0, 0) (Hashtbl.find_opt totals pass)
-    in
-    Hashtbl.replace totals pass
-      (t +. seconds, n + 1, bad + if ok then 0 else 1)
-  in
-  Ec.Term.Stats.reset ();
-  List.iter
-    (fun (case : Testinfra.Suite.case) ->
-      let compiled =
-        Compiler.Compile.compile
-          ~options:
-            {
-              Compiler.Compile.share_operators = true;
-              optimize = true;
-              fold_branches = true;
-            }
-          (Lang.Parser.parse_string case.Testinfra.Suite.source)
-      in
-      List.iter
-        (fun (r : Tv.report) ->
-          bump (Tv.pass_name r.Tv.pass) r.Tv.seconds
-            (r.Tv.cert = Tv.Proved))
-        (Compiler.Compile.certify compiled))
-    (Testinfra.Suite.builtin_cases ());
-  let st = Ec.Term.Stats.get () in
-  let rows =
-    List.filter_map
-      (fun pass ->
-        match Hashtbl.find_opt totals pass with
-        | None -> None
-        | Some (t, n, bad) ->
-            Printf.printf
-              "tv pass=%s: %d certificate(s), %.4fs total, %d not proved\n"
-              pass n t bad;
-            Some
-              (Printf.sprintf
-                 {|    { "pass": "%s", "certificates": %d,
-      "wall_seconds": %.6f, "not_proved": %d }|}
-                 pass n t bad))
-      [ "optimize"; "share"; "fold" ]
-  in
-  Printf.printf
-    "tv decide stages: normalize %.4fs, blast %.4fs, solve %.4fs (%d SAT \
-     calls, %d conflicts)\n"
-    st.Ec.Term.Stats.normalize_s st.Ec.Term.Stats.blast_s
-    st.Ec.Term.Stats.solve_s st.Ec.Term.Stats.sat_calls
-    st.Ec.Term.Stats.conflicts;
-  Printf.sprintf
-    {|  "tv": [
-%s
-  ],
-  "tv_decide_stages": { "engine": "decide",
-    "normalize_seconds": %.6f, "blast_seconds": %.6f,
-    "solve_seconds": %.6f, "sat_calls": %d, "conflicts": %d },|}
-    (String.concat ",\n" rows)
-    st.Ec.Term.Stats.normalize_s st.Ec.Term.Stats.blast_s
-    st.Ec.Term.Stats.solve_s st.Ec.Term.Stats.sat_calls
-    st.Ec.Term.Stats.conflicts
-
 let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   let per_workload = List.map bench_workload !workloads in
-  let fuzz_section = bench_fuzz () in
   let shard_section = bench_shards () in
-  let tv_section = bench_tv () in
   let json =
     Printf.sprintf
       {|{
   "benchmark": "faultcamp-campaign",
-  "schema_version": 8,
+  "schema_version": 9,
   "seed": %d,
   "faults_base": %d,
   "faults_floor": %d,
@@ -465,8 +366,6 @@ let () =
   "max_retries": %d,
   "deterministic_across_jobs_and_backends": true,
 %s
-%s
-%s
   "workloads": [
 %s
   ]
@@ -477,7 +376,7 @@ let () =
       (faults ()) host_cores
       Faultcamp.default_config.deadline_seconds
       Faultcamp.default_config.slice_cycles
-      Faultcamp.default_config.max_retries fuzz_section shard_section tv_section
+      Faultcamp.default_config.max_retries shard_section
       (String.concat ",\n" per_workload)
   in
   let oc = open_out !out_path in

@@ -20,8 +20,6 @@ type t = {
   options : options;
   partitions : partition list;
   rtg : Rtg.t;
-  mutable tv : Tv.report list;
-  mutable tv_engine : Tv.engine option;
 }
 
 exception Error of string list
@@ -174,77 +172,70 @@ let readonly_mem_inits prog =
       else Some (m.Ast.mem_name, m.Ast.mem_init))
     prog.Ast.mems
 
-let certify ?bounds ?(engine = Tv.Decide) t =
-  if t.tv <> [] && t.tv_engine = Some engine then t.tv
-  else
-    let prog = t.program in
-    let width = prog.Ast.prog_width in
-    let total = List.length t.partitions in
-    let source_parts = Ast.partitions t.source in
-    let memories =
-      List.map
-        (fun (m : Ast.mem_decl) ->
-          (m.Ast.mem_name, { Hwgen.size = m.Ast.mem_size }))
-        prog.Ast.mems
-    in
-    let var_inits =
-      List.map
-        (fun (v : Ast.var_decl) -> (v.Ast.var_name, v.Ast.var_init))
-        prog.Ast.vars
-    in
-    let mem_inits = readonly_mem_inits prog in
-    let timed f =
-      let t0 = Sys.time () in
-      let cert = f () in
-      (cert, Sys.time () -. t0)
-    in
-    let reports =
-      List.concat_map
-        (fun p ->
-          let name = partition_name prog p.index total in
-          let reps = ref [] in
-          let push pass (cert, seconds) =
-            reps := { Tv.partition = name; pass; cert; seconds } :: !reps
-          in
-          (* The per-partition reference hardware is regenerated from the
-             partition's own CFG with the pass under scrutiny switched
-             off — the pass input, reconstructed rather than stored. *)
-          let generate ~share ~fold =
-            let gen = if share then Share.generate else Hwgen.generate in
-            let r =
-              gen ~fold_branches:fold ~probes:prog.Ast.probes ~name ~width
-                ~memories ~var_inits p.cfg
-            in
-            (r.Hwgen.datapath, r.Hwgen.fsm)
-          in
-          if t.options.optimize then
-            push Tv.Optimize_pass
-              (timed (fun () ->
-                   Tv.validate_source ?bounds ~engine ~width
-                     ~pre:(graph_of_cfg (Cfg.build (List.nth source_parts p.index)))
-                     ~post:(graph_of_cfg p.cfg) ()));
-          if t.options.share_operators then
-            push Tv.Share_pass
-              (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~engine ~memories:mem_inits
-                     ~pass:Tv.Share_pass
-                     ~reference:
-                       (generate ~share:false ~fold:t.options.fold_branches)
-                     ~candidate:(p.datapath, p.fsm) ()));
-          if t.options.fold_branches then
-            push Tv.Fold_pass
-              (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~engine ~memories:mem_inits
-                     ~pass:Tv.Fold_pass
-                     ~reference:
-                       (generate ~share:t.options.share_operators ~fold:false)
-                     ~candidate:(p.datapath, p.fsm) ()));
-          List.rev !reps)
-        t.partitions
-    in
-    t.tv <- reports;
-    t.tv_engine <- Some engine;
-    reports
+let certify ?bounds t =
+  let prog = t.program in
+  let width = prog.Ast.prog_width in
+  let total = List.length t.partitions in
+  let source_parts = Ast.partitions t.source in
+  let memories =
+    List.map
+      (fun (m : Ast.mem_decl) ->
+        (m.Ast.mem_name, { Hwgen.size = m.Ast.mem_size }))
+      prog.Ast.mems
+  in
+  let var_inits =
+    List.map
+      (fun (v : Ast.var_decl) -> (v.Ast.var_name, v.Ast.var_init))
+      prog.Ast.vars
+  in
+  let mem_inits = readonly_mem_inits prog in
+  let timed f =
+    let t0 = Sys.time () in
+    let cert = f () in
+    (cert, Sys.time () -. t0)
+  in
+  List.concat_map
+    (fun p ->
+      let name = partition_name prog p.index total in
+      let reps = ref [] in
+      let push pass (cert, seconds) =
+        reps := { Tv.partition = name; pass; cert; seconds } :: !reps
+      in
+      (* The per-partition reference hardware is regenerated from the
+         partition's own CFG with the pass under scrutiny switched
+         off — the pass input, reconstructed rather than stored. *)
+      let generate ~share ~fold =
+        let gen = if share then Share.generate else Hwgen.generate in
+        let r =
+          gen ~fold_branches:fold ~probes:prog.Ast.probes ~name ~width
+            ~memories ~var_inits p.cfg
+        in
+        (r.Hwgen.datapath, r.Hwgen.fsm)
+      in
+      if t.options.optimize then
+        push Tv.Optimize_pass
+          (timed (fun () ->
+               Tv.validate_source ?bounds ~width
+                 ~pre:(graph_of_cfg (Cfg.build (List.nth source_parts p.index)))
+                 ~post:(graph_of_cfg p.cfg) ()));
+      if t.options.share_operators then
+        push Tv.Share_pass
+          (timed (fun () ->
+               Tv.validate_hardware ?bounds ~memories:mem_inits
+                 ~pass:Tv.Share_pass
+                 ~reference:
+                   (generate ~share:false ~fold:t.options.fold_branches)
+                 ~candidate:(p.datapath, p.fsm) ()));
+      if t.options.fold_branches then
+        push Tv.Fold_pass
+          (timed (fun () ->
+               Tv.validate_hardware ?bounds ~memories:mem_inits
+                 ~pass:Tv.Fold_pass
+                 ~reference:
+                   (generate ~share:t.options.share_operators ~fold:false)
+                 ~candidate:(p.datapath, p.fsm) ()));
+      List.rev !reps)
+    t.partitions
 
 let lint_deep t =
   let datapaths, fsms = bundle_docs t in
@@ -258,8 +249,7 @@ let lint_deep t =
 
 (* --- driver ---------------------------------------------------------- *)
 
-let compile ?(options = default_options) ?(deep_gate = false)
-    ?(tv_gate = false) prog =
+let compile ?(options = default_options) ?(deep_gate = false) prog =
   Lang.Check.validate prog;
   let source = prog in
   let prog = if options.optimize then Optimize.program prog else prog in
@@ -330,34 +320,13 @@ let compile ?(options = default_options) ?(deep_gate = false)
     }
   in
   Rtg.validate rtg;
-  let t =
-    {
-      program = prog;
-      source;
-      options;
-      partitions;
-      rtg;
-      tv = [];
-      tv_engine = None;
-    }
-  in
+  let t = { program = prog; source; options; partitions; rtg } in
   let gate_diags =
     if deep_gate then (lint_deep t).Lint.deep_diags else lint t
   in
   (match Diag.errors gate_diags with
   | [] -> ()
   | errs -> raise (Error (List.map Diag.to_string errs)));
-  if tv_gate then begin
-    let refuted =
-      List.filter
-        (fun (r : Tv.report) ->
-          match r.Tv.cert with Tv.Refuted _ -> true | _ -> false)
-        (certify t)
-    in
-    match refuted with
-    | [] -> ()
-    | rs -> raise (Error (List.map (fun r -> Diag.to_string (Tv.to_diag r)) rs))
-  end;
   t
 
 let datapath_ref t k =

@@ -43,18 +43,11 @@ type t = {
   options : options;
   partitions : partition list;
   rtg : Rtg.t;
-  mutable tv : Tv.report list;
-      (** Per-pass translation-validation certificates, filled by
-          {!certify} (empty until requested). *)
-  mutable tv_engine : Tv.engine option;
-      (** Engine the cached certificates were produced with. *)
 }
 
 exception Error of string list
 
-val compile :
-  ?options:options -> ?deep_gate:bool -> ?tv_gate:bool ->
-  Lang.Ast.program -> t
+val compile : ?options:options -> ?deep_gate:bool -> Lang.Ast.program -> t
 (** Raises {!Lang.Check.Invalid} on source errors and {!Error} on
     partition-flow violations — or when {!lint} reports an error-severity
     diagnostic on the generated design (the post-generation gate: a
@@ -62,13 +55,9 @@ val compile :
     [~deep_gate:true] gates on {!lint_deep} instead, additionally
     aborting when the abstract interpreter proves a defect (out-of-bounds
     store, dynamically closing combinational cycle, ...). Default
-    [false]: the deep analysis costs a fixpoint per configuration.
-    [~tv_gate:true] additionally runs {!certify} and raises {!Error}
-    when any enabled pass is {!Tv.Refuted} — translation validation as a
-    compile-time gate ({!Tv.Inconclusive} passes the gate; it is a
-    resource verdict, surfaced as a TV002 warning by {!lint_deep}). *)
+    [false]: the deep analysis costs a fixpoint per configuration. *)
 
-val certify : ?bounds:Tv.bounds -> ?engine:Tv.engine -> t -> Tv.report list
+val certify : ?bounds:Tv.bounds -> t -> Tv.report list
 (** One certificate per enabled transforming pass per partition, in
     pipeline order (optimize, share, fold): the {!Optimize} rewrite is
     validated against the pre-pass CFG by {!Tv.validate_source}; the
@@ -76,10 +65,8 @@ val certify : ?bounds:Tv.bounds -> ?engine:Tv.engine -> t -> Tv.report list
     regenerated reference hardware (the same partition CFG with the pass
     under scrutiny disabled) by {!Tv.validate_hardware}, including the
     {!Absint} invariant-preservation query over the program's read-only
-    memories. [engine] defaults to {!Tv.Decide} (SAT-backed {!Tv.Proved}
-    certificates); results are cached on [t.tv] keyed by the engine
-    that produced them — asking again with the other engine re-runs the
-    validators. An empty list means no transforming pass was enabled. *)
+    memories. Each call runs the validators afresh. An empty list means
+    no transforming pass was enabled. *)
 
 val lint : t -> Diag.t list
 (** Whole-design lint of the generated bundle ({!Lint.run_bundle} over

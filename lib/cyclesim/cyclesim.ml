@@ -326,18 +326,23 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
       | _ -> ())
     dp.Dp.operators;
   (* FSM wiring: controls driven from the Moore decode, statuses read from
-     the datapath cells. *)
+     the datapath cells. Each FSM port binds to the cell of the same name
+     and width, as in {!Transform.Fsm_exec.attach}. *)
+  let bind kind cells (io : Fsm.io) =
+    match List.assoc_opt io.Fsm.io_name cells with
+    | None ->
+        failwith
+          (Printf.sprintf "cyclesim: design has no %s %S" kind io.Fsm.io_name)
+    | Some c ->
+        if Bitvec.width !c <> io.Fsm.io_width then
+          failwith
+            (Printf.sprintf "cyclesim: fsm %s: %s %s width %d <> %d"
+               fsm.Fsm.fsm_name kind io.Fsm.io_name (Bitvec.width !c)
+               io.Fsm.io_width);
+        c
+  in
   let fsm_controls =
-    Array.of_list
-      (List.map
-         (fun (o : Fsm.io) ->
-           match List.assoc_opt o.Fsm.io_name controls with
-           | Some c -> c
-           | None ->
-               failwith
-                 (Printf.sprintf "cyclesim: design has no control %S"
-                    o.Fsm.io_name))
-         fsm.Fsm.outputs)
+    Array.of_list (List.map (bind "control" controls) fsm.Fsm.outputs)
   in
   let statuses =
     List.map
@@ -346,16 +351,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
       dp.Dp.statuses
   in
   let status_cells =
-    Array.of_list
-      (List.map
-         (fun (i : Fsm.io) ->
-           match List.assoc_opt i.Fsm.io_name statuses with
-           | Some c -> c
-           | None ->
-               failwith
-                 (Printf.sprintf "cyclesim: design has no status %S"
-                    i.Fsm.io_name))
-         fsm.Fsm.inputs)
+    Array.of_list (List.map (bind "status" statuses) fsm.Fsm.inputs)
   in
   let index = Fsm_index.create fsm in
   let t =

@@ -340,14 +340,31 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
     | Guard.And (a, b) -> Gand (compile_guard a, compile_guard b)
     | Guard.Or (a, b) -> Gor (compile_guard a, compile_guard b)
   in
-  let control_cell name =
-    match Hashtbl.find_opt index ("ctl." ^ name) with
-    | Some c -> c
+  (* Each FSM port binds to the cell of the same name and width, as in
+     {!Transform.Fsm_exec.attach}. *)
+  let cell_widths = Array.of_list (List.rev !widths) in
+  let bind kind find (io : Fsm.io) =
+    match find io.Fsm.io_name with
     | None ->
         failwith
-          (Printf.sprintf "fastsim: fsm %s: design has no control %S"
-             fsm.Fsm.fsm_name name)
+          (Printf.sprintf "fastsim: fsm %s: design has no %s %S"
+             fsm.Fsm.fsm_name kind io.Fsm.io_name)
+    | Some c ->
+        if cell_widths.(c) <> io.Fsm.io_width then
+          failwith
+            (Printf.sprintf "fastsim: fsm %s: %s %s width %d <> %d"
+               fsm.Fsm.fsm_name kind io.Fsm.io_name cell_widths.(c)
+               io.Fsm.io_width);
+        c
   in
+  let control_cells =
+    List.map
+      (bind "control" (fun n -> Hashtbl.find_opt index ("ctl." ^ n)))
+      fsm.Fsm.outputs
+  in
+  List.iter
+    (fun i -> ignore (bind "status" (fun n -> List.assoc_opt n statuses) i))
+    fsm.Fsm.inputs;
   let states =
     Array.of_list
       (List.map
@@ -356,11 +373,10 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
              st_done = s.Fsm.is_done;
              st_sets =
                Array.of_list
-                 (List.map
-                    (fun (o : Fsm.io) ->
-                      (control_cell o.Fsm.io_name,
-                       Fsm.output_in_state fsm s o.Fsm.io_name))
-                    fsm.Fsm.outputs);
+                 (List.map2
+                    (fun c (o : Fsm.io) ->
+                      (c, Fsm.output_in_state fsm s o.Fsm.io_name))
+                    control_cells fsm.Fsm.outputs);
              st_trans =
                Array.of_list
                  (List.map

@@ -39,8 +39,10 @@ type t
 
 val compile : Compiler.Compile.t -> t
 (** Compile every partition. Raises {!Unsupported} on constructs the
-    backend has no model for, and the dialect [Invalid] exceptions on
-    structurally broken documents (as the simulators do). *)
+    backend has no model for, the dialect [Invalid] exceptions on
+    structurally broken documents (as the simulators do), and [Failure]
+    when an FSM port has no datapath control or status of the same name
+    and width (the rule of {!Transform.Fsm_exec.attach}). *)
 
 val admissible : Compiler.Compile.t -> (unit, string) result
 (** Whether [auto] backend selection may use the compiled path: every

@@ -96,6 +96,49 @@ let test_shared_design_rejected () =
   in
   check_bool "combinational cycle rejected" true raised
 
+(* All three simulators bind an FSM port to the datapath control or
+   status of the same name {e and width}: gcd8 with its [i_sel] FSM
+   output widened from 1 to 2 bits must be refused by each, with
+   {!Transform.Fsm_exec.attach}'s message. *)
+let test_fsm_port_width_mismatch_rejected () =
+  let src = Workloads.Kernels.gcd_source () in
+  let prog = Lang.Parser.parse_string src in
+  let compiled = compile src in
+  let p = List.hd compiled.Compile.partitions in
+  let fsm =
+    {
+      p.Compile.fsm with
+      Fsmkit.Fsm.outputs =
+        List.map
+          (fun (o : Fsmkit.Fsm.io) ->
+            if o.Fsmkit.Fsm.io_name = "i_sel" then { o with io_width = 2 }
+            else o)
+          p.Compile.fsm.Fsmkit.Fsm.outputs;
+    }
+  in
+  let expected =
+    Printf.sprintf "fsm %s: control i_sel width 1 <> 2"
+      fsm.Fsmkit.Fsm.fsm_name
+  in
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted the widened FSM output" name
+    | exception Failure m ->
+        check_bool
+          (Printf.sprintf "%s: %S ends with %S" name m expected)
+          true
+          (String.ends_with ~suffix:expected m)
+  in
+  let memories = fst (Verify.memory_env prog ~inits:[]) in
+  rejects "event" (fun () ->
+      ignore (Simulate.run_configuration ~memories p.Compile.datapath fsm));
+  rejects "cyclesim" (fun () ->
+      ignore (Cyclesim.create ~memories p.Compile.datapath fsm));
+  rejects "fastsim" (fun () ->
+      ignore
+        (Fastsim.compile
+           { compiled with Compile.partitions = [ { p with Compile.fsm } ] }))
+
 let random_program =
   QCheck2.Gen.(
     let piece =
@@ -134,5 +177,7 @@ let suite =
     ("max cycles", `Quick, test_max_cycles);
     ("check failures counted", `Quick, test_check_failures_counted);
     ("shared design rejected", `Quick, test_shared_design_rejected);
+    ("fsm port width mismatch rejected", `Quick,
+     test_fsm_port_width_mismatch_rejected);
     QCheck_alcotest.to_alcotest prop_equivalence;
   ]
