@@ -655,6 +655,18 @@ let campaign ?(jobs = 1) ?cancel ?journal_path ?resume_from
   in
   let clean_cycles = bline.b_clean_cycles
   and clean_hw_oob = bline.b_clean_oob in
+  (* The compiled evaluator's fidelity contract on the clean design:
+     completion, cycle count, check failures, OOB counters and final
+     memories must all match the event-driven clean run. *)
+  let matches_clean (r : Fastsim.lane_result) stores =
+    r.Fastsim.completed
+    && r.Fastsim.total_cycles = clean_cycles
+    && r.Fastsim.checks = golden_asserts
+    && total_oob stores = clean_hw_oob
+    && List.for_all2
+         (fun (_, a) (_, b) -> Memory.diff a b = [])
+         clean_stores stores
+  in
   (* A mutant that runs much longer than the clean design is detected by
      the watchdog rather than simulated forever; the product is clamped
      so a very long clean run yields max_int, never a wrapped negative
@@ -670,9 +682,8 @@ let campaign ?(jobs = 1) ?cancel ?journal_path ?resume_from
   in
   (* Backend resolution. [Compiled]/[Auto] require the acyclicity
      certificate ({!Fastsim.admissible}) and then prove the fidelity
-     contract on the clean design before any mutant trusts the compiled
-     evaluator: completion, cycle count, check failures, final memories
-     and OOB counters must all match the event-driven clean run. [Auto]
+     contract ([matches_clean]) on the clean design before any mutant
+     trusts the compiled evaluator. [Auto]
      falls back to the interpreter on any failure; a forced [Compiled]
      backend reports it instead of silently changing semantics. *)
   let resolve_compiled () =
@@ -700,16 +711,7 @@ let campaign ?(jobs = 1) ?cancel ?journal_path ?resume_from
             with
             | exception e -> fall (Printexc.to_string e)
             | res ->
-                let r = res.(0) in
-                if
-                  r.Fastsim.completed
-                  && r.Fastsim.total_cycles = clean_cycles
-                  && r.Fastsim.checks = golden_asserts
-                  && total_oob stores = clean_hw_oob
-                  && List.for_all2
-                       (fun (_, a) (_, b) -> Memory.diff a b = [])
-                       clean_stores stores
-                then Some fast
+                if matches_clean res.(0) stores then Some fast
                 else
                   fall
                     "compiled backend diverges from the event-driven \
@@ -993,15 +995,7 @@ let campaign ?(jobs = 1) ?cancel ?journal_path ?resume_from
             let r0 = res.(0) in
             if
               (not r0.Fastsim.interrupted)
-              && not
-                   (r0.Fastsim.completed
-                   && r0.Fastsim.total_cycles
-                      = clean_cycles
-                   && r0.Fastsim.checks = golden_asserts
-                   && total_oob lane_stores.(0) = clean_hw_oob
-                   && List.for_all2
-                        (fun (_, a) (_, b) -> Memory.diff a b = [])
-                        clean_stores lane_stores.(0))
+              && not (matches_clean r0 lane_stores.(0))
             then
               failwith "clean lane diverged from the event-driven reference";
             List.mapi
